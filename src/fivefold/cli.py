@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_parse_gamma, required=True)
     p.add_argument("--box", type=int, default=8)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("scan", help="scan window offsets and report symmetry")
     p.add_argument("--from", dest="start", type=_parse_gamma, required=True)

@@ -31,7 +31,6 @@ __all__ = [
     "document_to_patch",
     "tiling_to_document",
     "quasilattice_to_document",
-    "document_groups",
 ]
 
 UNIT_NOTE = "edge-unit: acute base = 1, legs = tau, obtuse base = tau^2"
@@ -175,9 +174,9 @@ def read_tiling(data: bytes) -> TilingDocument:
     unit_note = unit_line[5:]
 
     seed_line = r.next()
-    if not seed_line.startswith("seed"):
+    if not seed_line.startswith("seed "):
         r.fail("expected 'seed <name>'")
-    seed = seed_line[5:] if len(seed_line) > 4 else ""
+    seed = seed_line[5:]
 
     gen_line = r.next().split()
     if len(gen_line) != 2 or gen_line[0] != "generation":
@@ -212,8 +211,11 @@ def read_tiling(data: bytes) -> TilingDocument:
     groups = None
     projection = None
     line = r.next()
-    if line.startswith("groups "):
-        n_groups = _parse_int(r, line.split()[1])
+    if line.startswith("groups"):
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "groups":
+            r.fail("expected 'groups <n>'")
+        n_groups = _parse_int(r, parts[1])
         groups = []
         for _ in range(n_groups):
             parts = r.next().split()
@@ -235,6 +237,8 @@ def read_tiling(data: bytes) -> TilingDocument:
         line = r.next()
     if line != "end":
         r.fail(f"expected 'end', got {line!r}")
+    if r.lines[r.pos:] != [""]:
+        r.fail("'end' must be the last line, ending in one newline")
 
     doc = TilingDocument(version=version, unit_note=unit_note, seed=seed,
                          generation=generation, vertices=tuple(vertices),
@@ -282,10 +286,6 @@ def document_to_patch(doc: TilingDocument) -> Patch:
 def tiling_to_document(tiling: CompositeTiling) -> TilingDocument:
     groups = tuple((g.kind.value, g.indices) for g in tiling.groups)
     return patch_to_document(tiling.patch, groups=groups)
-
-
-def document_groups(doc: TilingDocument) -> list[tuple[str, tuple[int, ...]]]:
-    return list(doc.groups or ())
 
 
 def quasilattice_to_document(points: Sequence[QuasiPoint], gamma, radius: float,

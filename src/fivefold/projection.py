@@ -10,7 +10,16 @@ gamma), and its physical projection lies within the requested radius.
 
 The physical projection of an accepted point x equals sqrt(2/5) times the
 exact plane embedding of its quasilattice reduction (x0-x4, x1-x4, x2-x4,
-x3-x4), which ties this module to the exact-arithmetic one.
+x3-x4), which ties this module to the exact-arithmetic one.  Its internal
+projection is the same for the Galois star map eps -> eps^2, and its
+diagonal projection is the integer sum of its coordinates over sqrt(5).
+
+The window is only sqrt(5) thick along the diagonal and fits in a disc of
+the internal plane, so an enumeration indexes its points by coordinate
+sum once and, per offset, hands the float window test only the points in
+the diagonal band whose star-map image lies in that disc.  Both prefilters
+reject only points provably outside the closed window, so every accept
+decision is the float test itself.
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .exact import CycloPoint
+from .triangles import symmetry_order
 
 __all__ = [
     "ProjectionBasis",
@@ -43,6 +53,12 @@ __all__ = [
 # boundary point see residuals equal to floating error (~1e-15), far below
 # this, so acceptance decisions respect exact symmetries.
 WINDOW_MARGIN = 1e-9
+
+# Slack on the window's internal-plane circumradius in the star-map
+# prefilter, far above the float error of a projected coordinate.
+STAR_GUARD = 1e-6
+
+SQRT5 = math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -143,31 +159,72 @@ def symmetric_gamma() -> tuple[float, float, float]:
 
 
 class LatticeEnumeration:
-    """Box enumeration of Z^5 with cached projections, reusable across
-    window offsets."""
+    """Box enumeration of Z^5 within a physical radius, with cached
+    projections, reusable across window offsets.
 
-    def __init__(self, box: int, radius: float,
-                 basis: ProjectionBasis | None = None,
-                 window: Window | None = None):
+    The points are indexed once by coordinate sum s, whose diagonal
+    projection is s/sqrt(5).  An offset then runs the window test only on
+    the rows in the diagonal band its window spans, widened by one integer
+    on each side, whose star-map image lies within the window's
+    internal-plane circumradius (plus STAR_GUARD) of the offset."""
+
+    def __init__(self, box: int, radius: float):
         if box < 1:
             raise ValueError("box must be >= 1")
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.box = box
         self.radius = radius
-        self.basis = basis or projection_basis()
-        self.window = window or build_window(self.basis)
-        axes = [np.arange(-box, box + 1)] * 5
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
-        par_xy = grid @ self.basis.par.T
-        keep = (par_xy ** 2).sum(axis=1) <= radius * radius
-        self.points = grid[keep]
-        self.par_xy = par_xy[keep]
+        self.basis = projection_basis()
+        self.window = build_window(self.basis)
+        # one leading-coordinate layer at a time: the rows come out in the
+        # lexicographic order a full 5D meshgrid would give
+        axes = [np.arange(-box, box + 1)] * 4
+        tail = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        tail_sum = tail.sum(axis=1)
+        rows = np.empty((len(tail), 5), dtype=tail.dtype)
+        rows[:, 1:] = tail
+        points, par_xy, sums = [], [], []
+        for lead in range(-box, box + 1):
+            rows[:, 0] = lead
+            xy = rows @ self.basis.par.T
+            keep = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= radius * radius
+            points.append(rows[keep])
+            par_xy.append(xy[keep])
+            sums.append(lead + tail_sum[keep])
+        self.points = np.concatenate(points)
+        self.par_xy = np.concatenate(par_xy)
         proj3 = np.vstack([self.basis.perp, self.basis.delta])
         self.internal = self.points @ proj3.T
 
+        # coordinate sums lie in [-5 box, 5 box]: sorting them in the
+        # narrowest integer type that holds them lets numpy use a radix sort
+        sums = np.concatenate(sums)
+        self._by_sum = np.argsort(sums.astype(np.min_scalar_type(-5 * box)),
+                                  kind="stable")
+        self._sums = sums[self._by_sum]
+        self._star_x, self._star_y = self.internal[self._by_sum, :2].T.copy()
+        corners = cube_vertex_projections(self.basis)
+        self._depth = (float(corners[:, 2].min()), float(corners[:, 2].max()))
+        reach = float(np.sqrt((corners[:, :2] ** 2).sum(axis=1)).max()) + STAR_GUARD
+        self._reach_sq = reach * reach
+
     def accept(self, gamma: Sequence[float]) -> np.ndarray:
-        return self.window.shifted(gamma).contains(self.internal)
+        """Mask of the rows strictly inside the gamma-shifted window.  Rows
+        outside the diagonal band or the star-map disc lie outside the
+        closed window by more than float error and skip the window test."""
+        mask = np.zeros(len(self.points), dtype=bool)
+        gx, gy, gz = (float(g) for g in gamma)
+        if not math.isfinite(gz):  # the window test accepts nothing there
+            return mask
+        lo = math.floor(SQRT5 * (gz + self._depth[0])) - 1
+        hi = math.ceil(SQRT5 * (gz + self._depth[1])) + 1
+        start, stop = np.searchsorted(self._sums, (lo, hi + 1))
+        dx = self._star_x[start:stop] - gx
+        dy = self._star_y[start:stop] - gy
+        rows = self._by_sum[start + np.flatnonzero(dx * dx + dy * dy <= self._reach_sq)]
+        mask[rows] = self.window.shifted(gamma).contains(self.internal[rows])
+        return mask
 
 
 def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
@@ -196,44 +253,30 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
     return out
 
 
-def _float_symmetry_order(xy: np.ndarray, tol: float) -> int:
-    """Largest n in {10, 5, 2, 1} whose rotation maps the float point set
-    onto itself under nearest-neighbour matching within tol."""
-    if len(xy) == 0:
-        return 1
-    tree = cKDTree(xy)
-    for n in (10, 5, 2):
-        theta = 2 * math.pi / n
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        dist, _ = tree.query(xy @ rot.T, k=1)
-        if float(dist.max()) <= tol:
-            return n
-    return 1
-
-
 def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
                 enumeration: LatticeEnumeration | None = None) -> list[ScanEntry]:
     """Generate the quasilattice for each offset and report its measured
-    rotational symmetry order about the accepted point nearest the origin."""
+    rotational symmetry order, decided exactly on the accepted quasilattice
+    points, about the accepted point nearest the origin."""
     if len(path) == 0:
         raise ValueError("path must contain at least one gamma")
     enum = enumeration or LatticeEnumeration(box, radius)
-    tol = 1e-6 * radius
     out = []
     for gamma in path:
-        mask = enum.accept(gamma)
-        xy = enum.par_xy[mask]
-        count = int(mask.sum())
+        accepted = np.flatnonzero(enum.accept(gamma))
+        count = len(accepted)
         if count == 0:
             out.append(ScanEntry(tuple(float(g) for g in gamma), 1, 0))
             continue
+        rows = enum.points[accepted]
+        xy = enum.par_xy[accepted]
         norms = (xy ** 2).sum(axis=1)
         near = np.flatnonzero(norms == norms.min())
         if len(near) > 1:
-            rows = enum.points[mask][near]
-            near = near[np.lexsort(rows.T[::-1])[:1]]
-        center = xy[near[0]]
-        order = _float_symmetry_order(xy - center, tol)
+            near = near[np.lexsort(rows[near].T[::-1])[:1]]
+        # the lattice_to_cyclo reduction, centred on the nearest point
+        cyclo = rows[:, :4] - rows[:, 4:]
+        centered = [CycloPoint(*c) for c in (cyclo - cyclo[near[0]]).tolist()]
+        order = symmetry_order(centered)
         out.append(ScanEntry(tuple(float(g) for g in gamma), order, count))
     return out

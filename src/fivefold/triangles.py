@@ -334,7 +334,9 @@ def symmetry_order(points: Iterable[CycloPoint], center: CycloPoint = ZERO) -> i
         (2, lambda p: -p),
     )
     for order, rot in rotations:
-        if frozenset(rot(p) for p in centered) == centered:
+        # a rotation is injective, so it maps the finite set onto itself
+        # exactly when every image lands in the set: stop at the first miss
+        if all(rot(p) in centered for p in centered):
             return order
     return 1
 

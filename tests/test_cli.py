@@ -87,6 +87,21 @@ class TestProjectAndScan:
         assert len(lines) == 4
 
 
+class TestMalformedInput:
+    def test_groups_line_without_count_exits_1(self, tmp_path, capsys):
+        tiling = tmp_path / "s1.qtile"
+        grouped = tmp_path / "s1-groups.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "1", "--out", str(tiling))
+        run(capsys, "group", str(tiling), "--policy", "rhombs", "--out", str(grouped))
+        lines = grouped.read_text().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("groups "))
+        lines[at] = "groups "
+        grouped.write_text("\n".join(lines))
+        code, _, err = run(capsys, "stats", str(grouped))
+        assert code == 1
+        assert f"error: line {at + 1}: expected 'groups <n>'" in err
+
+
 class TestStats:
     def test_alloy_line(self, capsys):
         code, out, _ = run(capsys, "stats", "--alloy", "86:14")

@@ -108,6 +108,31 @@ class TestValidation:
         with pytest.raises(DocumentError, match="chirality"):
             read_tiling("\n".join(lines).encode())
 
+    def test_groups_line_without_count_rejected(self):
+        blob = write_tiling(tiling_to_document(glue_rhombs(seed_wheel())))
+        lines = blob.decode().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("groups "))
+        lines[at] = "groups "
+        with pytest.raises(DocumentError, match=f"line {at + 1}: expected 'groups <n>'"):
+            read_tiling("\n".join(lines).encode())
+
+    def test_seed_without_separator_rejected(self):
+        blob = write_tiling(patch_to_document(seed_sun()))
+        assert b"\nseed sun\n" in blob
+        with pytest.raises(DocumentError, match="line 3: expected 'seed <name>'"):
+            read_tiling(blob.replace(b"\nseed sun\n", b"\nseedsun\n"))
+
+    @pytest.mark.parametrize("tail", [b"\n", b"extra\n", b"end\n", b" "])
+    def test_bytes_after_end_rejected(self, sun_doc, tail):
+        blob = write_tiling(sun_doc)
+        with pytest.raises(DocumentError, match="'end' must be the last line"):
+            read_tiling(blob + tail)
+
+    def test_missing_final_newline_rejected(self, sun_doc):
+        blob = write_tiling(sun_doc)
+        with pytest.raises(DocumentError, match="ending in one newline"):
+            read_tiling(blob[:-1])
+
     def test_writer_validates(self):
         bad = TilingDocument(vertices=((0, 0, 0, 0),),
                              triangles=(DocTriangle("A", 0, 0, 5, 1),))

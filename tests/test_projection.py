@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,11 @@ GENERIC_GAMMA = (0.01, 0.0137, 0.0071)
 @pytest.fixture(scope="module")
 def enum6():
     return LatticeEnumeration(box=8, radius=6.0)
+
+
+@pytest.fixture(scope="module")
+def enum4():
+    return LatticeEnumeration(box=6, radius=4.0)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +161,113 @@ class TestGenerate:
             LatticeEnumeration(box=0, radius=1.0)
         with pytest.raises(ValueError):
             LatticeEnumeration(box=2, radius=-1.0)
+
+
+def criterion_11_path():
+    z10 = symmetric_gamma()
+    z5 = (0.0, 0.0, z10[2] + 0.12)
+    generic = (0.021, 0.034, z10[2] + 0.19)
+    path = [tuple(np.array(z10) + (np.array(z5) - np.array(z10)) * k / 24)
+            for k in range(25)]
+    path += [tuple(np.array(z5) + (np.array(generic) - np.array(z5)) * k / 24)
+             for k in range(1, 26)]
+    return path
+
+
+def reference_accept(enum, gamma):
+    """The window test on every enumerated point, without prefilters."""
+    return enum.window.shifted(gamma).contains(enum.internal)
+
+
+class TestPrefilter:
+    def test_criterion_11_path_matches_full_window_test(self, enum6):
+        for gamma in criterion_11_path():
+            assert np.array_equal(enum6.accept(gamma), reference_accept(enum6, gamma))
+
+    def test_band_edge_offsets(self, enum4):
+        # sqrt(5) * gamma_z within 1e-12 of an integer puts whole sum layers
+        # on the window's top and bottom apexes
+        accepted = 0
+        for k in range(-6, 2):
+            for nudge in (-1e-12, 0.0, 1e-12):
+                for xy in ((0.0, 0.0), GENERIC_GAMMA[:2]):
+                    gamma = (*xy, (k + nudge) / math.sqrt(5))
+                    mask = enum4.accept(gamma)
+                    assert np.array_equal(mask, reference_accept(enum4, gamma))
+                    accepted += int(mask.sum())
+        assert accepted > 0
+
+    def test_offsets_at_the_circumradius(self, enum4):
+        corners = cube_vertex_projections()
+        reach = float(np.sqrt((corners[:, :2] ** 2).sum(axis=1)).max())
+        accepted = 0
+        for theta in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
+            for rho in (reach * (1 - 1e-9), reach, reach * (1 + 1e-9)):
+                gamma = (rho * math.cos(theta), rho * math.sin(theta),
+                         symmetric_gamma()[2])
+                mask = enum4.accept(gamma)
+                assert np.array_equal(mask, reference_accept(enum4, gamma))
+                accepted += int(mask.sum())
+        assert accepted > 0
+
+    def test_points_just_inside_window_corners_kept(self, enum4):
+        # shift the window so a lattice point sits just inside each corner:
+        # at the apexes it lies on the diagonal band's edge, at the outer
+        # corners on the star-map disc's edge
+        corners = cube_vertex_projections()
+        center = corners.mean(axis=0)
+        norms = np.hypot(corners[:, 0], corners[:, 1])
+        extreme = ((corners[:, 2] == corners[:, 2].min())
+                   | (corners[:, 2] == corners[:, 2].max())
+                   | np.isclose(norms, norms.max()))
+        assert extreme.sum() == 12
+        row = int(np.flatnonzero((enum4.points == 0).all(axis=1))[0])
+        for corner in corners[extreme]:
+            gamma = tuple(enum4.internal[row] - center - (corner - center) * (1 - 1e-7))
+            mask = enum4.accept(gamma)
+            assert np.array_equal(mask, reference_accept(enum4, gamma))
+            assert mask[row]
+
+    @pytest.mark.parametrize("gamma", [(0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
+                                       (0.0, 0.0, math.nan), (math.nan, 0.0, -1.0),
+                                       (math.inf, 0.0, -1.0)])
+    def test_non_finite_offsets_accept_nothing(self, enum4, gamma):
+        mask = enum4.accept(gamma)
+        assert not mask.any()
+        assert np.array_equal(mask, reference_accept(enum4, gamma))
+
+    def test_window_test_sees_a_small_fraction(self, enum6, monkeypatch):
+        seen = []
+        residuals = Window.residuals
+
+        def counting(self, points):
+            seen.append(len(points))
+            return residuals(self, points)
+
+        monkeypatch.setattr(Window, "residuals", counting)
+        mask = enum6.accept(symmetric_gamma())
+        assert 0 < mask.sum() <= sum(seen) < len(enum6.points) // 100
+
+    def test_layered_build_matches_brute_force(self, basis):
+        enum = LatticeEnumeration(box=3, radius=2.0)
+        cube = np.array(list(itertools.product(range(-3, 4), repeat=5)))
+        xy = cube @ basis.par.T
+        inside = cube[(xy ** 2).sum(axis=1) <= 4.0]
+        assert len(inside) > 100
+        assert enum.points.tolist() == inside.tolist()  # lexicographic order
+        assert np.array_equal(enum.par_xy, enum.points @ basis.par.T)
+
+    def test_internal_plane_is_star_map(self, enum6):
+        # eps -> eps^2 sends z0 + z1 eps + z2 eps^2 + z3 eps^3 to
+        # (z0 - z2) + (z3 - z2) eps + (z1 - z2) eps^2 - z2 eps^3
+        scale = math.sqrt(2 / 5)
+        for row in range(0, len(enum6.points), 7919):
+            z0, z1, z2, z3 = lattice_to_cyclo(enum6.points[row]).coords()
+            star = CycloPoint(z0 - z2, z3 - z2, z1 - z2, -z2).embed()
+            assert enum6.internal[row, :2] == pytest.approx(
+                [scale * star[0], scale * star[1]], abs=1e-9)
+            assert enum6.internal[row, 2] == pytest.approx(
+                enum6.points[row].sum() / math.sqrt(5), abs=1e-12)
 
 
 class TestScan:
