@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import FORMAT_VERSION, __version__
 from .document import (
     DocumentError,
@@ -23,7 +21,6 @@ from .document import (
     write_tiling,
 )
 from .grouping import POLICIES, count_tiles, detect_composites, glue_rhombs, verify_grouping
-from .projection import LatticeEnumeration, generate_quasilattice, scan_offset
 from .stats import alloy_check, ratio_report
 from .svg import RenderOptions, render_svg
 from .triangles import deflate_patch, seed_patch, validate_patch
@@ -195,6 +192,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .projection import generate_quasilattice
+
     points = generate_quasilattice(args.radius, args.gamma, args.box)
     doc = quasilattice_to_document(points, args.gamma, args.radius, args.box)
     with open(args.out, "wb") as f:
@@ -207,6 +206,10 @@ def _cmd_scan(args) -> int:
     if args.steps < 2:
         print("need at least 2 steps", file=sys.stderr)
         return 1
+    import numpy as np
+
+    from .projection import LatticeEnumeration, scan_offset
+
     start = np.array(args.start)
     stop = np.array(args.stop)
     path = [tuple(start + (stop - start) * k / (args.steps - 1))

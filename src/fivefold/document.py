@@ -6,19 +6,23 @@ reading them back is lossless.  The writer validates and canonicalizes
 nothing silently: a document must already satisfy the invariants (sorted
 deduplicated vertices, in-range indices, geometry-consistent chirality) or
 writing refuses, and the reader rejects violations with the line number.
-Write/read/write is byte-identical.
+The reader also accepts only canonical spellings: each line must be the one
+the writer emits for the values read from it, so write(read(data)) == data
+for every document it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import FORMAT_VERSION
 from .exact import CycloPoint, cross_sign
 from .grouping import CompositeKind, CompositeTiling
-from .projection import QuasiPoint
 from .triangles import Patch, Triangle, TriangleKind
+
+if TYPE_CHECKING:  # projection pulls in numpy and scipy
+    from .projection import QuasiPoint
 
 __all__ = [
     "DocTriangle",
@@ -84,8 +88,10 @@ class TilingDocument:
                         f"triangle {t_index}: vertex index {idx} out of range")
             if t.chirality not in (-1, 1):
                 raise DocumentError(f"triangle {t_index}: chirality must be +-1")
-            if t.parent is not None and t.parent < 0:
-                raise DocumentError(f"triangle {t_index}: negative parent index")
+            if t.parent is not None and not 0 <= t.parent < len(self.triangles):
+                # a parent indexes the previous generation, which is smaller
+                raise DocumentError(
+                    f"triangle {t_index}: parent index {t.parent} out of range")
             apex, b0, b1 = (CycloPoint(*self.vertices[i])
                             for i in (t.apex, t.base0, t.base1))
             if cross_sign(b0 - apex, b1 - apex) != t.chirality:
@@ -116,24 +122,38 @@ def write_tiling(doc: TilingDocument) -> bytes:
     lines.append(f"seed {doc.seed}")
     lines.append(f"generation {doc.generation}")
     lines.append(f"vertices {len(doc.vertices)}")
-    for v in doc.vertices:
-        lines.append(" ".join(str(c) for c in v))
+    lines.extend(_vertex_line(v) for v in doc.vertices)
     lines.append(f"triangles {len(doc.triangles)}")
-    for t in doc.triangles:
-        parent = -1 if t.parent is None else t.parent
-        lines.append(f"{t.kind} {t.apex} {t.base0} {t.base1} "
-                     f"{t.chirality:+d} {parent}")
+    lines.extend(_triangle_line(t) for t in doc.triangles)
     if doc.groups is not None:
         lines.append(f"groups {len(doc.groups)}")
-        for kind, indices in doc.groups:
-            lines.append(kind + " " + " ".join(str(i) for i in indices))
+        lines.extend(_group_line(kind, indices) for kind, indices in doc.groups)
     if doc.projection is not None:
-        p = doc.projection
-        lines.append("projection " + " ".join(
-            [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
-             repr(p.radius), str(p.box)]))
+        lines.append(_projection_line(doc.projection))
     lines.append("end")
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# One formatter per line kind, shared by the writer and the reader's
+# canonical-form check.
+
+def _vertex_line(v: tuple[int, ...]) -> str:
+    return " ".join(str(c) for c in v)
+
+
+def _triangle_line(t: DocTriangle) -> str:
+    parent = -1 if t.parent is None else t.parent
+    return f"{t.kind} {t.apex} {t.base0} {t.base1} {t.chirality:+d} {parent}"
+
+
+def _group_line(kind: str, indices: tuple[int, ...]) -> str:
+    return kind + " " + " ".join(str(i) for i in indices)
+
+
+def _projection_line(p: ProjectionMeta) -> str:
+    return "projection " + " ".join(
+        [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
+         repr(p.radius), str(p.box)])
 
 
 class _Reader:
@@ -155,18 +175,32 @@ class _Reader:
     def fail(self, message: str):
         raise DocumentError(f"line {self.pos}: {message}")
 
+    def canonical(self, line: str, expected: str) -> None:
+        """Accept only the line the writer emits for the parsed values."""
+        if line != expected:
+            self.fail(f"not in canonical form: expected {expected!r}, got {line!r}")
+
+    def count(self, line: str, name: str) -> int:
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != name:
+            self.fail(f"expected '{name} <n>'")
+        n = _parse_int(self, parts[1])
+        if n < 0:
+            self.fail(f"{name} must be >= 0")
+        self.canonical(line, f"{name} {n}")
+        return n
+
 
 def read_tiling(data: bytes) -> TilingDocument:
     r = _Reader(data)
-    header = r.next().split()
+    line = r.next()
+    header = line.split()
     if len(header) != 2 or header[0] != "qtile":
         r.fail("expected 'qtile <version>' header")
-    try:
-        version = int(header[1])
-    except ValueError:
-        r.fail("version must be an integer")
+    version = _parse_int(r, header[1])
     if version != FORMAT_VERSION:
         r.fail(f"unsupported format version {version}")
+    r.canonical(line, f"qtile {version}")
 
     unit_line = r.next()
     if not unit_line.startswith("unit "):
@@ -178,50 +212,43 @@ def read_tiling(data: bytes) -> TilingDocument:
         r.fail("expected 'seed <name>'")
     seed = seed_line[5:]
 
-    gen_line = r.next().split()
-    if len(gen_line) != 2 or gen_line[0] != "generation":
-        r.fail("expected 'generation <n>'")
-    generation = _parse_int(r, gen_line[1])
+    generation = r.count(r.next(), "generation")
 
-    count_line = r.next().split()
-    if len(count_line) != 2 or count_line[0] != "vertices":
-        r.fail("expected 'vertices <n>'")
-    n_vertices = _parse_int(r, count_line[1])
     vertices = []
-    for _ in range(n_vertices):
-        parts = r.next().split()
+    for _ in range(r.count(r.next(), "vertices")):
+        line = r.next()
+        parts = line.split()
         if len(parts) != 4:
             r.fail("vertex must have 4 integer coordinates")
-        vertices.append(tuple(_parse_int(r, p) for p in parts))
+        v = tuple(_parse_int(r, p) for p in parts)
+        r.canonical(line, _vertex_line(v))
+        vertices.append(v)
 
-    count_line = r.next().split()
-    if len(count_line) != 2 or count_line[0] != "triangles":
-        r.fail("expected 'triangles <n>'")
-    n_triangles = _parse_int(r, count_line[1])
     triangles = []
-    for _ in range(n_triangles):
-        parts = r.next().split()
+    for _ in range(r.count(r.next(), "triangles")):
+        line = r.next()
+        parts = line.split()
         if len(parts) != 6:
             r.fail("triangle must be 'kind apex base0 base1 chirality parent'")
-        kind = parts[0]
         apex, base0, base1, chirality, parent = (_parse_int(r, p) for p in parts[1:])
-        triangles.append(DocTriangle(kind, apex, base0, base1, chirality,
-                                     None if parent == -1 else parent))
+        t = DocTriangle(parts[0], apex, base0, base1, chirality,
+                        None if parent == -1 else parent)
+        r.canonical(line, _triangle_line(t))
+        triangles.append(t)
 
     groups = None
     projection = None
     line = r.next()
     if line.startswith("groups"):
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "groups":
-            r.fail("expected 'groups <n>'")
-        n_groups = _parse_int(r, parts[1])
         groups = []
-        for _ in range(n_groups):
-            parts = r.next().split()
+        for _ in range(r.count(line, "groups")):
+            line = r.next()
+            parts = line.split()
             if not parts:
                 r.fail("empty group line")
-            groups.append((parts[0], tuple(_parse_int(r, p) for p in parts[1:])))
+            group = (parts[0], tuple(_parse_int(r, p) for p in parts[1:]))
+            r.canonical(line, _group_line(*group))
+            groups.append(group)
         groups = tuple(groups)
         line = r.next()
     if line.startswith("projection "):
@@ -234,6 +261,7 @@ def read_tiling(data: bytes) -> TilingDocument:
         except ValueError:
             r.fail("bad float in projection metadata")
         projection = ProjectionMeta(gamma, radius, _parse_int(r, parts[5]))
+        r.canonical(line, _projection_line(projection))
         line = r.next()
     if line != "end":
         r.fail(f"expected 'end', got {line!r}")

@@ -44,6 +44,24 @@ _COSK = (1.0, _COS72, _COS144, _COS144, _COS72)
 _SINK = (0.0, _SIN72, _SIN144, -_SIN144, -_SIN72)
 
 
+def _golden_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*tau.
+
+    Mixed-sign coefficients reduce to an integer comparison because
+    a/c > tau iff a^2 - a*c - c^2 > 0 (and the quadratic never hits 0
+    for integers not both zero, tau being irrational).
+    """
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    if a > 0:  # a > 0 > b: positive iff a > (-b)*tau
+        c = -b
+        return 1 if a * a - a * c - c * c > 0 else -1
+    d = -a  # b > 0 > a: positive iff b*tau > d
+    return 1 if d * d - d * b - b * b < 0 else -1
+
+
 @dataclass(frozen=True, slots=True)
 class GoldenInt:
     """Element a + b*tau of Z[tau], reduced via tau^2 = tau + 1."""
@@ -111,24 +129,8 @@ class GoldenInt:
         return out
 
     def sign(self) -> int:
-        """Exact sign of the embedded value.
-
-        Mixed-sign coefficients reduce to an integer comparison because
-        a/c > tau iff a^2 - a*c - c^2 > 0 (and the quadratic never hits 0
-        for integers not both zero, tau being irrational).
-        """
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        if a > 0:  # a > 0 > b: positive iff a > (-b)*tau
-            c = -b
-            return 1 if a * a - a * c - c * c > 0 else -1
-        d = -a  # b > 0 > a: positive iff b*tau > d
-        return 1 if d * d - d * b - b * b < 0 else -1
+        """Exact sign of the embedded value."""
+        return _golden_sign(self.a, self.b)
 
     def __lt__(self, other: "GoldenInt | int") -> bool:
         return (self - GoldenInt.of(other)).sign() < 0
@@ -225,12 +227,16 @@ class CycloPoint:
         return CycloPoint(z0 - z1, -z1, z3 - z1, z2 - z1)
 
     def sq_norm(self) -> GoldenInt:
-        """Exact squared length |p|^2 = p * conj(p) as a GoldenInt."""
-        m = self * self.conj()
-        if m.z1 != 0 or m.z2 != m.z3:
-            raise ArithmeticError(
-                f"p*conj(p) left the real subring: {m} (internal error)")
-        return GoldenInt(m.z0, -m.z2)
+        """Exact squared length |p|^2 = p * conj(p) as a GoldenInt.
+
+        Closed form of the product: with s1 = z0z1 + z1z2 + z2z3 and
+        s2 = z0z2 + z1z3 + z0z3, |p|^2 = (z0^2+z1^2+z2^2+z3^2 - s1)
+        + (s1 - s2)*tau.
+        """
+        z0, z1, z2, z3 = self.z0, self.z1, self.z2, self.z3
+        s1 = z0 * z1 + z1 * z2 + z2 * z3
+        s2 = z0 * z2 + z1 * z3 + z0 * z3
+        return GoldenInt(z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3 - s1, s1 - s2)
 
     def real2(self) -> GoldenInt:
         """Twice the real part of the embedded value, exactly."""
@@ -273,8 +279,16 @@ TAU_C = CycloPoint(0, 0, -1, -1)
 
 
 def cross_sign(u: CycloPoint, v: CycloPoint) -> int:
-    """Exact sign of the cross product of the embedded vectors u, v."""
-    return (u.conj() * v).imag_by_sin36().sign()
+    """Exact sign of the cross product of the embedded vectors u, v.
+
+    The cross product is Im(conj(u) * v) = sin(36 deg) * (a + b*tau), a
+    fixed bilinear form in the coordinates, evaluated here in closed form.
+    """
+    u0, u1, u2, u3 = u.z0, u.z1, u.z2, u.z3
+    v0, v1, v2, v3 = v.z0, v.z1, v.z2, v.z3
+    a = u0 * v2 + u1 * v3 + u3 * v0 - u0 * v3 - u2 * v0 - u3 * v1
+    b = u0 * v1 + u1 * v2 + u2 * v3 - u1 * v0 - u2 * v1 - u3 * v2
+    return _golden_sign(a, b)
 
 
 def dot2(u: CycloPoint, v: CycloPoint) -> GoldenInt:

@@ -20,7 +20,6 @@ tau^2, the obtuse base tau^4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -116,18 +115,20 @@ def check_triangle(t: Triangle) -> str | None:
     """Return a description of the first violated invariant, or None."""
     if t.apex == t.base0 or t.apex == t.base1 or t.base0 == t.base1:
         return f"triangle has repeated vertices: {t.points()}"
-    leg0 = (t.base0 - t.apex).sq_norm()
-    leg1 = (t.base1 - t.apex).sq_norm()
+    u = t.base0 - t.apex
+    w = t.base1 - t.apex
+    leg0 = u.sq_norm()
+    leg1 = w.sq_norm()
     if leg0 != leg1:
         return f"triangle is not isoceles about its apex: {leg0} != {leg1}"
-    base = (t.base1 - t.base0).sq_norm()
+    base = (w - u).sq_norm()
     if t.kind is TriangleKind.ACUTE:
         if leg0 != base * TAU2:
             return f"acute ratio broken: leg^2 {leg0} != tau^2 * base^2 {base * TAU2}"
     else:
         if base != leg0 * TAU2:
             return f"obtuse ratio broken: base^2 {base} != tau^2 * leg^2 {leg0 * TAU2}"
-    chir = cross_sign(t.base0 - t.apex, t.base1 - t.apex)
+    chir = cross_sign(u, w)
     if chir == 0:
         return f"degenerate triangle: {t.points()}"
     if chir != t.chirality:
@@ -366,157 +367,167 @@ def _point_on_open_segment(v: CycloPoint, p: CycloPoint, q: CycloPoint) -> bool:
     return t.sign() > 0 and (t - dot2(d, d)).sign() < 0
 
 
-class _Grid:
-    """Uniform hash grid over embedded coordinates."""
-
-    def __init__(self, cell: float):
-        self.cell = cell
-        self.cells: dict[tuple[int, int], list[int]] = {}
-
-    def key(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor(x / self.cell)), int(math.floor(y / self.cell)))
-
-    def insert_box(self, idx: int, xlo, ylo, xhi, yhi) -> None:
-        kx0, ky0 = self.key(xlo, ylo)
-        kx1, ky1 = self.key(xhi, yhi)
-        for kx in range(kx0, kx1 + 1):
-            for ky in range(ky0, ky1 + 1):
-                self.cells.setdefault((kx, ky), []).append(idx)
-
-    def query_box(self, xlo, ylo, xhi, yhi) -> set[int]:
-        kx0, ky0 = self.key(xlo, ylo)
-        kx1, ky1 = self.key(xhi, yhi)
-        out: set[int] = set()
-        for kx in range(kx0, kx1 + 1):
-            for ky in range(ky0, ky1 + 1):
-                out.update(self.cells.get((kx, ky), ()))
-        return out
-
-
-def _interiors_overlap(tri_a, tri_b, eps: float) -> bool:
-    """Separating-axis test for two float triangles; touching within eps
-    does not count as overlap."""
-    for poly1, poly2 in ((tri_a, tri_b), (tri_b, tri_a)):
-        for i in range(3):
-            x0, y0 = poly1[i]
-            x1, y1 = poly1[(i + 1) % 3]
-            nx, ny = y1 - y0, x0 - x1
-            slack = eps * math.hypot(nx, ny)
-            proj1 = [nx * x + ny * y for x, y in poly1]
-            proj2 = [nx * x + ny * y for x, y in poly2]
-            if min(proj1) >= max(proj2) - slack or min(proj2) >= max(proj1) - slack:
-                return False  # separated (or merely touching) along this axis
-    return True
+# Corner angles at (apex, base0, base1) in units of 36 degrees.
+_CORNER_UNITS = {TriangleKind.ACUTE: (1, 2, 2), TriangleKind.OBTUSE: (3, 1, 1)}
+_FULL_TURN = 10  # 360 degrees
 
 
 def validate_patch(patch: Patch) -> PatchReport:
-    """Check triangle invariants, exact edge-to-edge sharing, and float
-    interior disjointness (tolerance 1e-9 of the shortest edge)."""
-    problems: list[str] = []
+    """Certify exactly that the patch is an edge-to-edge tiling of a disk.
+
+    Every test is integer or Z[tau] arithmetic; there is no tolerance:
+
+    1. every triangle has its kind's shape and its stored chirality;
+    2. no two triangles have the same three vertices;
+    3. every edge has at most one triangle on each side, so at most two;
+    4. corner angles (whole multiples of 36 degrees) sum to exactly 360
+       degrees at each vertex off the boundary, which is made of the edges
+       with one triangle, and to less at each boundary vertex;
+    5. every boundary vertex has exactly two boundary edges;
+    6. the boundary edges form one cycle;
+    7. V - E + F = 1;
+    8. the boundary is a simple polygon: two boundary edges meet at most in
+       a shared endpoint, and never overlap along it.
+
+    By 3-5 the patch is a surface mapped to the plane locally injectively,
+    by 5-7 that surface is a disk, and a locally injective map of a disk
+    whose boundary curve is simple is an embedding.  So no two interiors
+    overlap and no vertex lies inside another triangle's edge.  Patches
+    that are not disks (a hole, several pieces, triangles meeting only at
+    a vertex) are rejected even where no triangles overlap.
+
+    Checks 1-3 report their first problem and stop.  Otherwise the report
+    holds the first failed condition of 4-7, ending in "not a disk", and
+    the first pair of boundary edges that break 8, named as an overlap of
+    their triangles.  Only the boundary edges are compared pairwise.
+    """
     tris = patch.triangles
     if not tris:
         return PatchReport(True)
-
     for i, t in enumerate(tris):
         msg = check_triangle(t)
         if msg:
-            problems.append(f"triangle {i}: {msg}")
-            break
+            return PatchReport(False, (f"triangle {i}: {msg}",))
 
-    seen_keys: dict[tuple, int] = {}
-    for i, t in enumerate(tris):
-        key = tuple(sorted(p.coords() for p in t.points()))
-        if key in seen_keys:
-            problems.append(f"triangle {i} duplicates triangle {seen_keys[key]}")
-            break
-        seen_keys[key] = i
+    # Number the vertices in order of first appearance, so that the maps
+    # below hash small integers rather than points.
+    index: dict[CycloPoint, int] = {}
+    corners = [[index.setdefault(v, len(index)) for v in t.points()] for t in tris]
+    points = list(index)
+    angle = [0] * len(points)
+    # Directed edges run counter-clockwise around their triangle, so the
+    # triangle lies to the left; the verified chirality gives the order.
+    # A directed edge owned twice has two triangles on the same side.
+    owner: dict[tuple[int, int], int] = {}
+    for i, (t, (a, b, c)) in enumerate(zip(tris, corners)):
+        ua, ub, uc = _CORNER_UNITS[t.kind]
+        angle[a] += ua
+        angle[b] += ub
+        angle[c] += uc
+        if t.chirality < 0:
+            b, c = c, b
+        for edge in ((a, b), (b, c), (c, a)):
+            j = owner.setdefault(edge, i)
+            if j != i:
+                if set(corners[j]) == {a, b, c}:
+                    problem = f"triangle {i} duplicates triangle {j}"
+                else:
+                    problem = (f"triangles {[j, i]} lie on the same side of shared "
+                               f"edge {points[edge[0]]}-{points[edge[1]]}")
+                return PatchReport(False, (problem,))
+    boundary = [(p, q) for p, q in owner if (q, p) not in owner]
 
-    # Exact edge sharing: an edge joins at most two triangles, on opposite sides.
-    edge_map: dict[tuple, list[int]] = {}
-    for i, t in enumerate(tris):
-        for p, q in t.edges():
-            key = (p.coords(), q.coords()) if p.coords() <= q.coords() else (q.coords(), p.coords())
-            edge_map.setdefault(key, []).append(i)
-    for key, owners in edge_map.items():
-        if len(owners) > 2:
-            problems.append(f"edge {key} shared by {len(owners)} triangles")
-            break
-        if len(owners) == 2:
-            p = CycloPoint(*key[0])
-            q = CycloPoint(*key[1])
-            sides = []
-            for i in owners:
-                third = next(v for v in tris[i].points() if v != p and v != q)
-                sides.append(cross_sign(q - p, third - p))
-            if sides[0] == sides[1]:
-                problems.append(
-                    f"triangles {owners} lie on the same side of shared edge {key}")
-                break
-
-    # Geometry caches for the float stages.
-    embedded = [tuple(p.embed() for p in t.points()) for t in tris]
-    min_edge = math.sqrt(min(
-        min(t.leg_sq().embed(), t.base_sq().embed()) for t in tris))
-    eps = 1e-9 * min_edge
-
-    # No vertex may sit in the interior of another triangle's edge.
-    verts = patch.vertices
-    vgrid = _Grid(cell=max(min_edge, 1e-9))
-    vxy = []
-    for vi, v in enumerate(verts):
-        x, y = v.embed()
-        vxy.append((x, y))
-        vgrid.insert_box(vi, x, y, x, y)
-    stop = False
-    for (p, q), owners in edge_map.items():
-        if stop:
-            break
-        x0, y0 = CycloPoint(*p).embed()
-        x1, y1 = CycloPoint(*q).embed()
-        pad = 1e-6 * min_edge
-        for vi in vgrid.query_box(min(x0, x1) - pad, min(y0, y1) - pad,
-                                  max(x0, x1) + pad, max(y0, y1) + pad):
-            x, y = vxy[vi]
-            dx, dy = x1 - x0, y1 - y0
-            ll = dx * dx + dy * dy
-            s = ((x - x0) * dx + (y - y0) * dy) / ll
-            if s <= 0.0 or s >= 1.0:
-                continue
-            dist2 = (x - x0 - s * dx) ** 2 + (y - y0 - s * dy) ** 2
-            if dist2 > pad * pad:
-                continue
-            if _point_on_open_segment(verts[vi], CycloPoint(*p), CycloPoint(*q)):
-                problems.append(
-                    f"vertex {verts[vi]} lies mid-edge on {p}-{q} "
-                    f"(triangles {owners}): not edge-to-edge")
-                stop = True
-                break
-
-    # Pairwise interior disjointness on grid-filtered candidate pairs.
-    tgrid = _Grid(cell=2.0 * math.sqrt(max(t.leg_sq().embed() for t in tris)))
-    boxes = []
-    for i, pts in enumerate(embedded):
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        box = (min(xs), min(ys), max(xs), max(ys))
-        boxes.append(box)
-        tgrid.insert_box(i, *box)
-    checked: set[tuple[int, int]] = set()
-    stop = False
-    for i in range(len(tris)):
-        if stop:
-            break
-        for j in tgrid.query_box(*boxes[i]):
-            if j <= i or (i, j) in checked:
-                continue
-            checked.add((i, j))
-            bi, bj = boxes[i], boxes[j]
-            if bi[2] < bj[0] - eps or bj[2] < bi[0] - eps \
-                    or bi[3] < bj[1] - eps or bj[3] < bi[1] - eps:
-                continue
-            if _interiors_overlap(embedded[i], embedded[j], eps):
-                problems.append(f"triangles {i} and {j} overlap")
-                stop = True
-                break
-
+    problems = []
+    n_edges = (len(owner) + len(boundary)) // 2
+    topology = _topology_problem(points, angle, boundary, n_edges, len(tris))
+    if topology:
+        problems.append(f"{topology}: not a disk")
+    crossing = _boundary_crossing(points, boundary, owner)
+    if crossing:
+        problems.append(crossing)
     return PatchReport(not problems, tuple(problems))
+
+
+def _topology_problem(points: list[CycloPoint], angle: list[int],
+                      boundary: list[tuple[int, int]],
+                      n_edges: int, n_faces: int) -> str | None:
+    """The first of conditions 4-7 of ``validate_patch`` that fails."""
+    degree = [0] * len(points)
+    succ: dict[int, int] = {}
+    for p, q in boundary:
+        degree[p] += 1
+        degree[q] += 1
+        succ[p] = q
+    for v, units in enumerate(angle):
+        if units > _FULL_TURN:
+            return f"angle sum at vertex {points[v]} is {36 * units} degrees"
+        if degree[v]:
+            if units == _FULL_TURN:
+                return f"angle sum at boundary vertex {points[v]} is 360 degrees"
+        elif units != _FULL_TURN:
+            return (f"angle sum at interior vertex {points[v]} is "
+                    f"{36 * units} degrees")
+    for v, d in enumerate(degree):
+        if d not in (0, 2):
+            return f"boundary vertex {points[v]} has {d} boundary edges"
+    # Each boundary vertex now has one outgoing and one incoming boundary
+    # edge, so the successor map is a permutation: count its cycles.
+    cycles = 0
+    unvisited = set(succ)
+    while unvisited:
+        start = unvisited.pop()
+        v = succ[start]
+        while v != start:
+            unvisited.remove(v)
+            v = succ[v]
+        cycles += 1
+    if cycles != 1:
+        return f"boundary edges form {cycles} cycles"
+    chi = len(points) - n_edges + n_faces
+    if chi != 1:
+        return f"V - E + F = {chi}"
+    return None
+
+
+def _boundary_crossing(points: list[CycloPoint], boundary: list[tuple[int, int]],
+                       owner: dict[tuple[int, int], int]) -> str | None:
+    """Condition 8 of ``validate_patch``: the first two boundary edges that
+    meet anywhere but a shared endpoint, or overlap along one.
+
+    A sweep in x over exact bounding boxes: 2*Re and Im/sin(36 deg) of the
+    endpoints, compared as GoldenInts, limit the exact segment tests to
+    edges whose boxes meet.
+    """
+    boxes = []
+    for edge in boundary:
+        p, q = points[edge[0]], points[edge[1]]
+        x0, x1 = sorted((p.real2(), q.real2()))
+        y0, y1 = sorted((p.imag_by_sin36(), q.imag_by_sin36()))
+        boxes.append((x0, x1, y0, y1, p, q, owner[edge]))
+    boxes.sort(key=lambda box: box[0])
+    active: list[tuple] = []
+    for box in boxes:
+        x0, _, y0, y1, p, q, i = box
+        active = [other for other in active if other[1] >= x0]
+        for _, _, oy0, oy1, r, s, j in active:
+            if oy1 >= y0 and y1 >= oy0 and _segments_meet(p, q, r, s):
+                return (f"boundary edges {r}-{s} and {p}-{q} meet away from a "
+                        f"shared vertex: triangles {j} and {i} overlap")
+        active.append(box)
+    return None
+
+
+def _segments_meet(p: CycloPoint, q: CycloPoint, r: CycloPoint, s: CycloPoint) -> bool:
+    """Do the distinct edges pq and rs meet anywhere but one shared
+    endpoint, or overlap along it?  Exact."""
+    if r in (p, q) or s in (p, q):
+        v = r if r in (p, q) else s
+        a = q if p == v else p
+        b = s if r == v else r
+        return _point_on_open_segment(a, v, b) or _point_on_open_segment(b, v, a)
+    d, e = q - p, s - r
+    if (cross_sign(d, r - p) * cross_sign(d, s - p) < 0
+            and cross_sign(e, p - r) * cross_sign(e, q - r) < 0):
+        return True
+    return (_point_on_open_segment(r, p, q) or _point_on_open_segment(s, p, q)
+            or _point_on_open_segment(p, r, s) or _point_on_open_segment(q, r, s))

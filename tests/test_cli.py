@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fivefold
 from fivefold.cli import main
 
 
@@ -140,3 +146,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        # only project and scan need them; every other command starts without
+        src = str(Path(fivefold.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, fivefold.cli; "
+                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

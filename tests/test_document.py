@@ -133,6 +133,60 @@ class TestValidation:
         with pytest.raises(DocumentError, match="ending in one newline"):
             read_tiling(blob[:-1])
 
+    @pytest.mark.parametrize("old,new", [
+        ("generation 1", "generation 01"),
+        ("vertices 16", "vertices +16"),
+        ("triangles 20", "triangles  20"),
+        ("\nA 14 13 5 +1 0\n", "\nA 14 13 5 1 0\n"),
+        ("\nA 14 13 5 +1 0\n", "\nA 14  13 5 +1 0\n"),
+        ("\nA 14 13 5 +1 0\n", "\nA 14 13 5 +1 0 \n"),
+        ("\n0 0 0 1\n", "\n0 0 0 1_0\n"),
+        ("\n0 0 1 0\n", "\n0 0 1 -0\n"),
+        ("qtile 1", "qtile 01"),
+    ])
+    def test_non_canonical_spelling_rejected(self, old, new):
+        blob = write_tiling(patch_to_document(deflate_patch(seed_sun(), 1))).decode()
+        assert old in blob
+        bad = blob.replace(old, new, 1)
+        line = bad[:bad.index(new.strip("\n"))].count("\n") + 1
+        with pytest.raises(DocumentError, match=f"line {line}: not in canonical form"):
+            read_tiling(bad.encode())
+
+    def test_non_canonical_group_line_rejected(self):
+        blob = write_tiling(tiling_to_document(glue_rhombs(seed_wheel()))).decode()
+        lines = blob.split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("groups ")) + 1
+        lines[at] = lines[at].replace(" ", "  ", 1)
+        with pytest.raises(DocumentError, match=f"line {at + 1}: not in canonical form"):
+            read_tiling("\n".join(lines).encode())
+
+    def test_non_canonical_projection_float_rejected(self):
+        doc = TilingDocument(seed="projection",
+                             projection=ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 5))
+        blob = write_tiling(doc)
+        assert b"projection 0.01 0.0137 0.0071 3.0 5\n" in blob
+        with pytest.raises(DocumentError, match="not in canonical form"):
+            read_tiling(blob.replace(b" 3.0 ", b" 3.00 "))
+
+    def test_negative_count_rejected(self):
+        blob = write_tiling(patch_to_document(seed_sun())).decode()
+        bad = blob.replace("triangles 10\n", "triangles -1\n")
+        with pytest.raises(DocumentError, match="triangles must be >= 0"):
+            read_tiling(bad.encode())
+
+    def test_parent_out_of_range_rejected(self):
+        doc = patch_to_document(deflate_patch(seed_sun(), 1))
+        assert len(doc.triangles) == 20 and doc.triangles[0].parent == 0
+        blob = write_tiling(doc).decode()
+        bad = blob.replace("\nA 14 13 5 +1 0\n", "\nA 14 13 5 +1 999\n", 1)
+        assert bad != blob
+        with pytest.raises(DocumentError, match="parent index 999 out of range"):
+            read_tiling(bad.encode())
+        last = len(doc.triangles) - 1
+        with pytest.raises(DocumentError, match="parent index 20 out of range"):
+            read_tiling(bad.replace(" 999\n", " 20\n").encode())
+        assert read_tiling(bad.replace(" 999\n", f" {last}\n").encode())
+
     def test_writer_validates(self):
         bad = TilingDocument(vertices=((0, 0, 0, 0),),
                              triangles=(DocTriangle("A", 0, 0, 5, 1),))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from fivefold.exact import (
     EPS,
+    EPS1,
     ONE,
     TAU_C,
     CycloPoint,
@@ -204,6 +205,37 @@ class TestCyclo:
             assert cross_sign(u, v) == (1 if cr > 0 else -1)
         d = dot2(u, v).embed()
         assert d == pytest.approx(2 * (ux * vx + uy * vy), rel=1e-9, abs=1e-6)
+
+
+wide_ints = st.integers(min_value=-300, max_value=300)
+wide_cyclos = st.builds(CycloPoint, wide_ints, wide_ints, wide_ints, wide_ints)
+
+
+class TestClosedFormKernels:
+    """sq_norm and cross_sign are closed forms of conj-products in Z[eps]."""
+
+    @given(wide_cyclos)
+    def test_sq_norm_is_p_times_conj(self, p):
+        m = p * p.conj()
+        assert m.z1 == 0 and m.z2 == m.z3  # real: in Z[tau]
+        assert p.sq_norm() == GoldenInt(m.z0, -m.z2)
+
+    @given(wide_cyclos, wide_cyclos)
+    def test_cross_sign_is_sign_of_conj_product(self, u, v):
+        assert cross_sign(u, v) == (u.conj() * v).imag_by_sin36().sign()
+
+    @given(wide_cyclos, st.integers(min_value=-5, max_value=5), st.integers(0, 9))
+    def test_cross_sign_zero_exactly_on_collinear(self, u, k, turn):
+        assert cross_sign(u, u * k) == 0
+        if turn in (0, 5) or u.is_zero():
+            assert cross_sign(u, u * EPS1 ** turn) == 0
+        else:
+            assert cross_sign(u, u * EPS1 ** turn) == (1 if turn < 5 else -1)
+
+    @given(goldens)
+    def test_sign_matches_embedding(self, g):
+        value = g.embed()
+        assert g.sign() == (value > 0) - (value < 0)
 
 
 class TestIntegerIndependence:

@@ -1,0 +1,224 @@
+"""Property tests: the exact patch validator against an exact brute force,
+and the .qtile reader's canonical form under token-level mutations."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fivefold.document import (
+    DocumentError,
+    ProjectionMeta,
+    read_tiling,
+    tiling_to_document,
+    write_tiling,
+)
+from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, cross_sign, dot2
+from fivefold.grouping import glue_rhombs, templates
+from fivefold.triangles import (
+    Patch,
+    _topology_problem,
+    canonical_acute,
+    canonical_obtuse,
+    deflate_patch,
+    deflate_triangle,
+    seed_patch,
+    seed_sun,
+    seed_wheel,
+    validate_patch,
+)
+
+# ------------------------------------------------------------ brute force
+
+
+def _ccw(t):
+    return (t.apex, t.base0, t.base1) if t.chirality > 0 else (t.apex, t.base1, t.base0)
+
+
+def _separated(s, t) -> bool:
+    """Some edge line of one triangle has the other on its closed outer side
+    (for two triangles, that is the same as disjoint interiors)."""
+    for a, b in ((s, t), (t, s)):
+        ring = _ccw(a)
+        for k in range(3):
+            p, q = ring[k], ring[(k + 1) % 3]
+            if all(cross_sign(q - p, v - p) <= 0 for v in b.points()):
+                return True
+    return False
+
+
+def _inside_edge(v: CycloPoint, p: CycloPoint, q: CycloPoint) -> bool:
+    return (cross_sign(q - p, v - p) == 0 and dot2(v - p, q - p).sign() > 0
+            and dot2(v - q, p - q).sign() > 0)
+
+
+def brute_force_embedded(patch: Patch) -> bool:
+    """No two interiors overlap and no vertex lies inside another edge."""
+    tris = patch.triangles
+    if not all(_separated(s, t) for i, s in enumerate(tris) for t in tris[i + 1:]):
+        return False
+    return not any(_inside_edge(v, p, q) for t in tris for p, q in t.edges()
+                   for v in patch.vertex_set)
+
+
+# ------------------------------------------------- validator soundness
+
+BASES = [deflate_patch(seed_patch(seed), gen)
+         for seed in ("sun", "wheel") for gen in (2, 3)]
+
+
+@st.composite
+def perturbed_patches(draw):
+    """A deflated patch with one triangle moved or turned by 36k degrees
+    about its apex, or with one or two triangles deleted."""
+    tris = list(draw(st.sampled_from(BASES)).triangles)
+    i = draw(st.integers(0, len(tris) - 1))
+    op = draw(st.sampled_from(["move", "turn", "delete", "delete2"]))
+    if op == "move":
+        d = EPS1 ** draw(st.integers(0, 9)) * draw(st.sampled_from([ONE, TAU_C]))
+        tris[i] = tris[i].transform(lambda p: p + d)
+    elif op == "turn":
+        apex, turn = tris[i].apex, EPS1 ** draw(st.integers(1, 9))
+        tris[i] = tris[i].transform(lambda p: (p - apex) * turn + apex)
+    else:
+        del tris[i]
+        if op == "delete2":
+            del tris[draw(st.integers(0, len(tris) - 1))]
+    return Patch(tuple(tris))
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_patches())
+def test_accepted_patches_are_embedded(patch):
+    if validate_patch(patch).ok:
+        assert brute_force_embedded(patch)
+
+
+def _interior_triangle(patch: Patch) -> int:
+    """Index of a triangle with no vertex on the patch boundary."""
+    owners = {}
+    for t in patch.triangles:
+        for p, q in t.edges():
+            key = frozenset((p, q))
+            owners[key] = owners.get(key, 0) + 1
+    rim = {p for key, n in owners.items() if n == 1 for p in key}
+    return next(i for i, t in enumerate(patch.triangles)
+                if rim.isdisjoint(t.points()))
+
+
+def _t_junction() -> Patch:
+    # One triangle of the sun seed replaced by its two deflation children:
+    # the split point sits on the neighbour's unsplit leg.
+    sun = seed_sun().triangles
+    return Patch(sun[1:] + tuple(deflate_triangle(sun[0])))
+
+
+def _hole() -> Patch:
+    g2 = deflate_patch(seed_sun(), 2)
+    i = _interior_triangle(g2)
+    return Patch(g2.triangles[:i] + g2.triangles[i + 1:])
+
+
+def _bowtie() -> Patch:
+    t = canonical_acute()
+    return Patch((t, t.transform(lambda p: -p)))
+
+
+def _two_pieces() -> Patch:
+    t = canonical_acute()
+    return Patch((t, t.transform(lambda p: p + ONE * 10)))
+
+
+def _overwound_fan() -> Patch:
+    # four obtuse apex angles of 108 degrees around one vertex: 432 degrees
+    t = canonical_obtuse()
+    return Patch(tuple(t.transform(lambda p: p * EPS1 ** (3 * k)) for k in range(4)))
+
+
+@pytest.mark.parametrize("make,problem", [
+    (_hole, "boundary edges form 2 cycles: not a disk"),
+    (_bowtie, "boundary vertex (0,0,0,0) has 4 boundary edges: not a disk"),
+    (_two_pieces, "boundary edges form 2 cycles: not a disk"),
+    (_t_junction, "angle sum at boundary vertex (0,0,0,0) is 360 degrees: not a disk"),
+    (_overwound_fan, "angle sum at vertex (0,0,0,0) is 432 degrees: not a disk"),
+])
+def test_non_disks_rejected(make, problem):
+    report = validate_patch(make())
+    assert not report.ok
+    assert report.first() == problem
+
+
+def test_non_disks_without_overlap_pass_the_brute_force():
+    # the rejections above are about topology, not overlap
+    for make in (_hole, _bowtie, _two_pieces):
+        assert brute_force_embedded(make())
+
+
+@pytest.mark.parametrize("make", [_t_junction, _overwound_fan])
+def test_overlaps_also_found_on_the_boundary(make):
+    report = validate_patch(make())
+    assert len(report.problems) == 2
+    assert "overlap" in report.problems[1]
+    assert not brute_force_embedded(make())
+
+
+def test_euler_characteristic_checked():
+    # a boundary triangle with two extra edges: V - E + F = 3 - 5 + 1
+    points = [ZERO, ONE, EPS]
+    report = _topology_problem(points, [2, 2, 2], [(0, 1), (1, 2), (2, 0)], 5, 1)
+    assert report == "V - E + F = -1"
+
+
+@pytest.mark.parametrize("seed", ["sun", "wheel", "acute", "obtuse"])
+def test_deflated_seeds_accepted(seed):
+    for gen in range(6):
+        report = validate_patch(deflate_patch(seed_patch(seed), gen))
+        assert report.ok, (gen, report.problems)
+
+
+@pytest.mark.parametrize("kind", list(templates()), ids=lambda k: k.value)
+def test_templates_accepted(kind):
+    report = validate_patch(Patch(templates()[kind].parts))
+    assert report.ok, report.problems
+
+
+# ----------------------------------------------------- reader canonical form
+
+SMALL = write_tiling(replace(
+    tiling_to_document(glue_rhombs(seed_wheel())),
+    projection=ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 5)))
+TOKENS = ["0", "1", "-1", "+1", "01", "-0", "1_0", "10", "999", "A", "O",
+          "ThinRhomb", "", " ", "\n", "end", "groups", "1.0", "1e0", "nan"]
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = [line.split(" ") for line in SMALL.decode().split("\n")]
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(tokens) - 1))
+        token = draw(st.sampled_from(TOKENS)
+                     | st.text(alphabet="0123456789+-_. AOx", max_size=3))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            tokens.insert(at, token)
+        elif op == "delete" and len(tokens) > 1:
+            del tokens[at]
+        else:
+            tokens[at] = token
+    return "\n".join(" ".join(tokens) for tokens in lines).encode("ascii")
+
+
+def test_small_document_covers_every_section():
+    text = SMALL.decode()
+    assert "\ngroups 5\n" in text and "\nprojection " in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_reader_accepts_only_canonical_form(data):
+    try:
+        doc = read_tiling(data)
+    except DocumentError:
+        return
+    assert write_tiling(doc) == data
