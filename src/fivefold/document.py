@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import FORMAT_VERSION
-from .exact import CycloPoint, cross_sign
+from .exact import CycloPoint, cross_ab, golden_sign, sq_norm_ab
 from .grouping import CompositeKind, CompositeTiling
 from .triangles import Patch, Triangle, TriangleKind
 
@@ -75,10 +75,11 @@ class TilingDocument:
     def validate(self) -> None:
         if self.version != FORMAT_VERSION:
             raise DocumentError(f"unsupported format version {self.version}")
-        if list(self.vertices) != sorted(set(self.vertices)):
+        vertices = self.vertices
+        if any(v >= w for v, w in zip(vertices, vertices[1:])):
             raise DocumentError("vertices must be deduplicated and in "
                                 "lexicographic order")
-        n = len(self.vertices)
+        n = len(vertices)
         for t_index, t in enumerate(self.triangles):
             if t.kind not in ("A", "O"):
                 raise DocumentError(f"triangle {t_index}: unknown kind {t.kind!r}")
@@ -92,11 +93,10 @@ class TilingDocument:
                 # a parent indexes the previous generation, which is smaller
                 raise DocumentError(
                     f"triangle {t_index}: parent index {t.parent} out of range")
-            apex, b0, b1 = (CycloPoint(*self.vertices[i])
-                            for i in (t.apex, t.base0, t.base1))
-            if cross_sign(b0 - apex, b1 - apex) != t.chirality:
-                raise DocumentError(
-                    f"triangle {t_index}: stored chirality contradicts geometry")
+            problem = _shape_problem(t.kind, t.chirality, vertices[t.apex],
+                                     vertices[t.base0], vertices[t.base1])
+            if problem:
+                raise DocumentError(f"triangle {t_index}: {problem}")
         if self.groups is not None:
             seen: set[int] = set()
             valid_kinds = {k.value for k in CompositeKind}
@@ -113,6 +113,26 @@ class TilingDocument:
                     seen.add(idx)
         if self.generation < 0:
             raise DocumentError("generation must be >= 0")
+
+
+def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
+                   b: tuple[int, ...], c: tuple[int, ...]) -> str | None:
+    """What ``check_triangle`` would find wrong with the triangle (kind,
+    a, b, c) of this chirality, decided on the vertex tuples alone."""
+    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
+    w = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
+    if golden_sign(*cross_ab(u, w)) != chirality:
+        return "stored chirality contradicts geometry"
+    leg = sq_norm_ab(u)
+    if sq_norm_ab(w) != leg:
+        return "not isosceles about its apex"
+    x, y = sq_norm_ab((w[0] - u[0], w[1] - u[1], w[2] - u[2], w[3] - u[3]))
+    # tau^2 * (x + y*tau) = (x + y) + (x + 2y)*tau
+    if kind == "A" and leg != (x + y, x + 2 * y):
+        return "acute ratio broken: leg^2 != tau^2 * base^2"
+    if kind == "O" and (x, y) != (leg[0] + leg[1], leg[0] + 2 * leg[1]):
+        return "obtuse ratio broken: base^2 != tau^2 * leg^2"
+    return None
 
 
 def write_tiling(doc: TilingDocument) -> bytes:

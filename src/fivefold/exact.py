@@ -27,6 +27,10 @@ __all__ = [
     "EPS",
     "EPS1",
     "TAU_C",
+    "ROT36",
+    "golden_sign",
+    "sq_norm_ab",
+    "cross_ab",
     "LinearVerdict",
     "int_lin_independent",
 ]
@@ -44,7 +48,7 @@ _COSK = (1.0, _COS72, _COS144, _COS144, _COS72)
 _SINK = (0.0, _SIN72, _SIN144, -_SIN144, -_SIN72)
 
 
-def _golden_sign(a: int, b: int) -> int:
+def golden_sign(a: int, b: int) -> int:
     """Exact sign of a + b*tau.
 
     Mixed-sign coefficients reduce to an integer comparison because
@@ -130,7 +134,7 @@ class GoldenInt:
 
     def sign(self) -> int:
         """Exact sign of the embedded value."""
-        return _golden_sign(self.a, self.b)
+        return golden_sign(self.a, self.b)
 
     def __lt__(self, other: "GoldenInt | int") -> bool:
         return (self - GoldenInt.of(other)).sign() < 0
@@ -227,16 +231,8 @@ class CycloPoint:
         return CycloPoint(z0 - z1, -z1, z3 - z1, z2 - z1)
 
     def sq_norm(self) -> GoldenInt:
-        """Exact squared length |p|^2 = p * conj(p) as a GoldenInt.
-
-        Closed form of the product: with s1 = z0z1 + z1z2 + z2z3 and
-        s2 = z0z2 + z1z3 + z0z3, |p|^2 = (z0^2+z1^2+z2^2+z3^2 - s1)
-        + (s1 - s2)*tau.
-        """
-        z0, z1, z2, z3 = self.z0, self.z1, self.z2, self.z3
-        s1 = z0 * z1 + z1 * z2 + z2 * z3
-        s2 = z0 * z2 + z1 * z3 + z0 * z3
-        return GoldenInt(z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3 - s1, s1 - s2)
+        """Exact squared length |p|^2 = p * conj(p) as a GoldenInt."""
+        return GoldenInt(*sq_norm_ab((self.z0, self.z1, self.z2, self.z3)))
 
     def real2(self) -> GoldenInt:
         """Twice the real part of the embedded value, exactly."""
@@ -276,19 +272,44 @@ EPS = CycloPoint(0, 1, 0, 0)
 EPS1 = CycloPoint(0, 0, 0, -1)
 # tau as a point of Z[eps]: tau = -(eps^2 + eps^3) = 2*cos(36 deg).
 TAU_C = CycloPoint(0, 0, -1, -1)
+# The ten rotations by 36k degrees, ROT36[k] = EPS1**k = (-1)^k eps^(3k mod 5).
+ROT36 = (
+    CycloPoint(1, 0, 0, 0), CycloPoint(0, 0, 0, -1), CycloPoint(0, 1, 0, 0),
+    CycloPoint(1, 1, 1, 1), CycloPoint(0, 0, 1, 0), CycloPoint(-1, 0, 0, 0),
+    CycloPoint(0, 0, 0, 1), CycloPoint(0, -1, 0, 0), CycloPoint(-1, -1, -1, -1),
+    CycloPoint(0, 0, -1, 0),
+)
 
 
-def cross_sign(u: CycloPoint, v: CycloPoint) -> int:
-    """Exact sign of the cross product of the embedded vectors u, v.
+def sq_norm_ab(z: Sequence[int]) -> tuple[int, int]:
+    """|z|^2 = a + b*tau for the coordinates z of a point, as (a, b).
+
+    Closed form of z * conj(z): with s1 = z0z1 + z1z2 + z2z3 and
+    s2 = z0z2 + z1z3 + z0z3, |z|^2 = (z0^2+z1^2+z2^2+z3^2 - s1)
+    + (s1 - s2)*tau.
+    """
+    z0, z1, z2, z3 = z
+    s1 = z0 * z1 + z1 * z2 + z2 * z3
+    s2 = z0 * z2 + z1 * z3 + z0 * z3
+    return (z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3 - s1, s1 - s2)
+
+
+def cross_ab(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
+    """The cross product of the points with coordinates u, v divided by
+    sin(36 deg), a + b*tau, as (a, b).
 
     The cross product is Im(conj(u) * v) = sin(36 deg) * (a + b*tau), a
     fixed bilinear form in the coordinates, evaluated here in closed form.
     """
-    u0, u1, u2, u3 = u.z0, u.z1, u.z2, u.z3
-    v0, v1, v2, v3 = v.z0, v.z1, v.z2, v.z3
-    a = u0 * v2 + u1 * v3 + u3 * v0 - u0 * v3 - u2 * v0 - u3 * v1
-    b = u0 * v1 + u1 * v2 + u2 * v3 - u1 * v0 - u2 * v1 - u3 * v2
-    return _golden_sign(a, b)
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return (u0 * v2 + u1 * v3 + u3 * v0 - u0 * v3 - u2 * v0 - u3 * v1,
+            u0 * v1 + u1 * v2 + u2 * v3 - u1 * v0 - u2 * v1 - u3 * v2)
+
+
+def cross_sign(u: CycloPoint, v: CycloPoint) -> int:
+    """Exact sign of the cross product of the embedded vectors u, v."""
+    return golden_sign(*cross_ab((u.z0, u.z1, u.z2, u.z3), (v.z0, v.z1, v.z2, v.z3)))
 
 
 def dot2(u: CycloPoint, v: CycloPoint) -> GoldenInt:

@@ -7,6 +7,15 @@ rotations by 36 degrees, each optionally composed with complex
 conjugation) plus an exact translation.  Matching never backtracks and the
 iteration order is canonical, so grouping is deterministic.
 
+Matching runs on plain integers.  Each triangle packs into one integer key
+in a balanced mixed radix derived from the coordinate bound of the data at
+hand, so equal keys mean equal triangles and translation is integer
+addition.  A lazily cached pose table, one per (template, scale exponent),
+holds the 20 posed, scaled copies of each template relative to its anchor
+apex.  ``detect_composites`` probes it with one integer add per template
+triangle; ``verify_grouping`` translates the recorded pose by the recorded
+shift and compares triangle sets exactly.
+
 Template geometry: the rhombs, deltoid, trapezoid and boat follow from the
 shape definitions directly.  The pentagon dissections cannot be chosen
 freely (a pentagon with side equal to the triangle leg admits no
@@ -24,9 +33,9 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .exact import EPS1, ONE, TAU_C, ZERO, CycloPoint, GoldenInt
+from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt
 from .triangles import (
     Patch,
     Triangle,
@@ -84,102 +93,109 @@ POLICIES = {"seta": SET_A, "setb": SET_B, "rhombs": RHOMBS}
 # Pentagon dissection as found in deflated wheel patches, normalized so the
 # first pentagon corner is the origin and the first side points along the
 # positive x axis.  Units: triangle legs have length tau (generation 0).
-_SMALL55_RAW = (
-    ("A", (0, 0, -1, -1), (0, 1, 0, -1), (1, 1, 0, -1)),
-    ("A", (0, 0, -1, -1), (1, 1, -1, -1), (1, 1, 0, -1)),
-    ("A", (1, 2, 1, -1), (0, 1, 0, -1), (1, 1, 0, -1)),
-    ("A", (1, 2, 1, -1), (1, 2, 2, 0), (1, 3, 2, 0)),
-    ("A", (1, 3, 3, 1), (1, 2, 2, 0), (1, 3, 2, 0)),
-    ("A", (1, 3, 3, 1), (2, 4, 3, 1), (1, 3, 2, 0)),
-    ("A", (2, 1, -2, -3), (2, 1, -1, -2), (2, 2, -1, -2)),
-    ("A", (2, 1, -2, -3), (2, 2, -1, -3), (2, 2, -1, -2)),
-    ("A", (2, 2, 0, -1), (1, 1, -1, -1), (1, 1, 0, -1)),
-    ("A", (2, 2, 0, -1), (2, 1, -1, -2), (2, 2, -1, -2)),
-    ("A", (2, 3, 0, -2), (2, 2, -1, -3), (2, 2, -1, -2)),
-    ("A", (2, 3, 0, -2), (3, 4, 0, -2), (3, 4, 1, -2)),
-    ("A", (2, 4, 2, 0), (2, 4, 3, 1), (1, 3, 2, 0)),
-    ("A", (2, 4, 2, 0), (2, 5, 3, 0), (3, 5, 3, 0)),
-    ("A", (3, 4, 2, -1), (3, 5, 3, -1), (3, 5, 3, 0)),
-    ("A", (3, 4, 2, -1), (4, 5, 2, -1), (3, 4, 1, -2)),
-    ("A", (3, 6, 4, 0), (2, 5, 3, 0), (3, 5, 3, 0)),
-    ("A", (3, 6, 4, 0), (3, 5, 3, -1), (3, 5, 3, 0)),
-    ("A", (4, 5, 1, -2), (3, 4, 0, -2), (3, 4, 1, -2)),
-    ("A", (4, 5, 1, -2), (4, 5, 2, -1), (3, 4, 1, -2)),
-    ("O", (0, 0, 0, 0), (0, 0, -1, -1), (0, 1, 1, 0)),
-    ("O", (0, 1, 0, -1), (0, 0, -1, -1), (0, 1, 1, 0)),
-    ("O", (0, 1, 0, -1), (1, 2, 1, -1), (0, 1, 1, 0)),
-    ("O", (1, 0, -3, -3), (2, 1, -2, -3), (1, 0, -2, -2)),
-    ("O", (1, 1, -1, -1), (0, 0, -1, -1), (1, 0, -2, -2)),
-    ("O", (1, 1, -1, -1), (2, 2, 0, -1), (1, 0, -2, -2)),
-    ("O", (1, 2, 1, -1), (2, 3, 1, -1), (1, 1, 0, -1)),
-    ("O", (1, 2, 1, -1), (2, 3, 1, -1), (1, 3, 2, 0)),
-    ("O", (1, 2, 2, 0), (1, 2, 1, -1), (0, 1, 1, 0)),
-    ("O", (1, 2, 2, 0), (1, 3, 3, 1), (0, 1, 1, 0)),
-    ("O", (1, 4, 4, 1), (1, 3, 3, 1), (2, 5, 4, 1)),
-    ("O", (2, 1, -1, -2), (2, 1, -2, -3), (1, 0, -2, -2)),
-    ("O", (2, 1, -1, -2), (2, 2, 0, -1), (1, 0, -2, -2)),
-    ("O", (2, 2, -1, -3), (2, 1, -2, -3), (3, 3, -1, -3)),
-    ("O", (2, 2, -1, -3), (2, 3, 0, -2), (3, 3, -1, -3)),
-    ("O", (2, 2, 0, -1), (2, 3, 1, -1), (1, 1, 0, -1)),
-    ("O", (2, 2, 0, -1), (2, 3, 1, -1), (2, 2, -1, -2)),
-    ("O", (2, 3, 0, -2), (2, 3, 1, -1), (2, 2, -1, -2)),
-    ("O", (2, 3, 0, -2), (2, 3, 1, -1), (3, 4, 1, -2)),
-    ("O", (2, 4, 2, 0), (2, 3, 1, -1), (1, 3, 2, 0)),
-    ("O", (2, 4, 2, 0), (2, 3, 1, -1), (3, 5, 3, 0)),
-    ("O", (2, 4, 3, 1), (1, 3, 3, 1), (2, 5, 4, 1)),
-    ("O", (2, 4, 3, 1), (2, 4, 2, 0), (2, 5, 4, 1)),
-    ("O", (2, 5, 3, 0), (2, 4, 2, 0), (2, 5, 4, 1)),
-    ("O", (2, 5, 3, 0), (3, 6, 4, 0), (2, 5, 4, 1)),
-    ("O", (3, 4, 0, -2), (2, 3, 0, -2), (3, 3, -1, -3)),
-    ("O", (3, 4, 0, -2), (4, 5, 1, -2), (3, 3, -1, -3)),
-    ("O", (3, 4, 2, -1), (2, 3, 1, -1), (3, 4, 1, -2)),
-    ("O", (3, 4, 2, -1), (2, 3, 1, -1), (3, 5, 3, 0)),
-    ("O", (3, 5, 3, -1), (3, 4, 2, -1), (4, 6, 3, -1)),
-    ("O", (3, 5, 3, -1), (3, 6, 4, 0), (4, 6, 3, -1)),
-    ("O", (4, 4, 0, -3), (4, 5, 1, -2), (3, 3, -1, -3)),
-    ("O", (4, 5, 2, -1), (3, 4, 2, -1), (4, 6, 3, -1)),
-    ("O", (4, 5, 2, -1), (4, 5, 1, -2), (4, 6, 3, -1)),
-    ("O", (4, 7, 4, 0), (3, 6, 4, 0), (4, 6, 3, -1)),
-)
+_SMALL55_RAW = """
+A    0  0 -1 -1    0  1  0 -1    1  1  0 -1
+A    0  0 -1 -1    1  1 -1 -1    1  1  0 -1
+A    1  2  1 -1    0  1  0 -1    1  1  0 -1
+A    1  2  1 -1    1  2  2  0    1  3  2  0
+A    1  3  3  1    1  2  2  0    1  3  2  0
+A    1  3  3  1    2  4  3  1    1  3  2  0
+A    2  1 -2 -3    2  1 -1 -2    2  2 -1 -2
+A    2  1 -2 -3    2  2 -1 -3    2  2 -1 -2
+A    2  2  0 -1    1  1 -1 -1    1  1  0 -1
+A    2  2  0 -1    2  1 -1 -2    2  2 -1 -2
+A    2  3  0 -2    2  2 -1 -3    2  2 -1 -2
+A    2  3  0 -2    3  4  0 -2    3  4  1 -2
+A    2  4  2  0    2  4  3  1    1  3  2  0
+A    2  4  2  0    2  5  3  0    3  5  3  0
+A    3  4  2 -1    3  5  3 -1    3  5  3  0
+A    3  4  2 -1    4  5  2 -1    3  4  1 -2
+A    3  6  4  0    2  5  3  0    3  5  3  0
+A    3  6  4  0    3  5  3 -1    3  5  3  0
+A    4  5  1 -2    3  4  0 -2    3  4  1 -2
+A    4  5  1 -2    4  5  2 -1    3  4  1 -2
+O    0  0  0  0    0  0 -1 -1    0  1  1  0
+O    0  1  0 -1    0  0 -1 -1    0  1  1  0
+O    0  1  0 -1    1  2  1 -1    0  1  1  0
+O    1  0 -3 -3    2  1 -2 -3    1  0 -2 -2
+O    1  1 -1 -1    0  0 -1 -1    1  0 -2 -2
+O    1  1 -1 -1    2  2  0 -1    1  0 -2 -2
+O    1  2  1 -1    2  3  1 -1    1  1  0 -1
+O    1  2  1 -1    2  3  1 -1    1  3  2  0
+O    1  2  2  0    1  2  1 -1    0  1  1  0
+O    1  2  2  0    1  3  3  1    0  1  1  0
+O    1  4  4  1    1  3  3  1    2  5  4  1
+O    2  1 -1 -2    2  1 -2 -3    1  0 -2 -2
+O    2  1 -1 -2    2  2  0 -1    1  0 -2 -2
+O    2  2 -1 -3    2  1 -2 -3    3  3 -1 -3
+O    2  2 -1 -3    2  3  0 -2    3  3 -1 -3
+O    2  2  0 -1    2  3  1 -1    1  1  0 -1
+O    2  2  0 -1    2  3  1 -1    2  2 -1 -2
+O    2  3  0 -2    2  3  1 -1    2  2 -1 -2
+O    2  3  0 -2    2  3  1 -1    3  4  1 -2
+O    2  4  2  0    2  3  1 -1    1  3  2  0
+O    2  4  2  0    2  3  1 -1    3  5  3  0
+O    2  4  3  1    1  3  3  1    2  5  4  1
+O    2  4  3  1    2  4  2  0    2  5  4  1
+O    2  5  3  0    2  4  2  0    2  5  4  1
+O    2  5  3  0    3  6  4  0    2  5  4  1
+O    3  4  0 -2    2  3  0 -2    3  3 -1 -3
+O    3  4  0 -2    4  5  1 -2    3  3 -1 -3
+O    3  4  2 -1    2  3  1 -1    3  4  1 -2
+O    3  4  2 -1    2  3  1 -1    3  5  3  0
+O    3  5  3 -1    3  4  2 -1    4  6  3 -1
+O    3  5  3 -1    3  6  4  0    4  6  3 -1
+O    4  4  0 -3    4  5  1 -2    3  3 -1 -3
+O    4  5  2 -1    3  4  2 -1    4  6  3 -1
+O    4  5  2 -1    4  5  1 -2    4  6  3 -1
+O    4  7  4  0    3  6  4  0    4  6  3 -1
+"""
 
 # Acute-shaped union with base (2+tau) * leg, harvested the same way; this
 # is a pentagram point.  Base from the origin along +x, apex below the axis.
-_POINT25_RAW = (
-    ("A", (-3, -7, -7, -3), (-2, -6, -6, -3), (-3, -6, -6, -3)),
-    ("A", (-2, -5, -5, -3), (-2, -6, -6, -3), (-3, -6, -6, -3)),
-    ("A", (-2, -5, -5, -3), (-2, -5, -6, -4), (-1, -4, -5, -3)),
-    ("A", (-1, -3, -4, -2), (-1, -3, -5, -3), (-1, -4, -5, -3)),
-    ("A", (-1, -3, -4, -2), (0, -2, -3, -2), (-1, -2, -3, -2)),
-    ("A", (0, -1, -2, -2), (0, -2, -3, -2), (-1, -2, -3, -2)),
-    ("A", (0, -1, -2, -2), (0, -1, -3, -3), (1, 0, -2, -2)),
-    ("A", (0, 0, -1, -1), (-1, -1, -2, -1), (-1, -1, -1, -1)),
-    ("A", (0, 0, -1, -1), (0, 0, 0, 0), (-1, -1, -1, -1)),
-    ("A", (1, 0, -3, -3), (0, -1, -3, -3), (1, 0, -2, -2)),
-    ("O", (-2, -5, -5, -3), (-2, -4, -4, -2), (-3, -6, -6, -3)),
-    ("O", (-2, -5, -5, -3), (-2, -4, -4, -2), (-1, -4, -5, -3)),
-    ("O", (-2, -3, -3, -2), (-2, -4, -4, -2), (-1, -2, -3, -2)),
-    ("O", (-2, -3, -3, -2), (-2, -2, -2, -1), (-1, -2, -3, -2)),
-    ("O", (-1, -3, -5, -3), (-1, -3, -4, -2), (0, -2, -4, -3)),
-    ("O", (-1, -3, -4, -2), (-2, -4, -4, -2), (-1, -4, -5, -3)),
-    ("O", (-1, -3, -4, -2), (-2, -4, -4, -2), (-1, -2, -3, -2)),
-    ("O", (-1, -1, -2, -1), (-2, -2, -2, -1), (-1, -2, -3, -2)),
-    ("O", (-1, -1, -2, -1), (0, 0, -1, -1), (-1, -2, -3, -2)),
-    ("O", (0, -2, -3, -2), (-1, -3, -4, -2), (0, -2, -4, -3)),
-    ("O", (0, -2, -3, -2), (0, -1, -2, -2), (0, -2, -4, -3)),
-    ("O", (0, -1, -3, -3), (0, -1, -2, -2), (0, -2, -4, -3)),
-    ("O", (0, -1, -3, -3), (1, 0, -3, -3), (0, -2, -4, -3)),
-    ("O", (0, -1, -2, -2), (0, 0, -1, -1), (-1, -2, -3, -2)),
-    ("O", (0, -1, -2, -2), (0, 0, -1, -1), (1, 0, -2, -2)),
-)
+_POINT25_RAW = """
+A   -3 -7 -7 -3   -2 -6 -6 -3   -3 -6 -6 -3
+A   -2 -5 -5 -3   -2 -6 -6 -3   -3 -6 -6 -3
+A   -2 -5 -5 -3   -2 -5 -6 -4   -1 -4 -5 -3
+A   -1 -3 -4 -2   -1 -3 -5 -3   -1 -4 -5 -3
+A   -1 -3 -4 -2    0 -2 -3 -2   -1 -2 -3 -2
+A    0 -1 -2 -2    0 -2 -3 -2   -1 -2 -3 -2
+A    0 -1 -2 -2    0 -1 -3 -3    1  0 -2 -2
+A    0  0 -1 -1   -1 -1 -2 -1   -1 -1 -1 -1
+A    0  0 -1 -1    0  0  0  0   -1 -1 -1 -1
+A    1  0 -3 -3    0 -1 -3 -3    1  0 -2 -2
+O   -2 -5 -5 -3   -2 -4 -4 -2   -3 -6 -6 -3
+O   -2 -5 -5 -3   -2 -4 -4 -2   -1 -4 -5 -3
+O   -2 -3 -3 -2   -2 -4 -4 -2   -1 -2 -3 -2
+O   -2 -3 -3 -2   -2 -2 -2 -1   -1 -2 -3 -2
+O   -1 -3 -5 -3   -1 -3 -4 -2    0 -2 -4 -3
+O   -1 -3 -4 -2   -2 -4 -4 -2   -1 -4 -5 -3
+O   -1 -3 -4 -2   -2 -4 -4 -2   -1 -2 -3 -2
+O   -1 -1 -2 -1   -2 -2 -2 -1   -1 -2 -3 -2
+O   -1 -1 -2 -1    0  0 -1 -1   -1 -2 -3 -2
+O    0 -2 -3 -2   -1 -3 -4 -2    0 -2 -4 -3
+O    0 -2 -3 -2    0 -1 -2 -2    0 -2 -4 -3
+O    0 -1 -3 -3    0 -1 -2 -2    0 -2 -4 -3
+O    0 -1 -3 -3    1  0 -3 -3    0 -2 -4 -3
+O    0 -1 -2 -2    0  0 -1 -1   -1 -2 -3 -2
+O    0 -1 -2 -2    0  0 -1 -1    1  0 -2 -2
+"""
 
 # Side length of the harvested pentagon in generation-0 units: (2+tau)*tau.
 _PENTAGON_SIDE = GoldenInt(1, 3)
 
 
-def _raw_to_triangles(raw) -> tuple[Triangle, ...]:
-    return tuple(Triangle.make(TriangleKind(kind), CycloPoint(*apex),
-                               CycloPoint(*b0), CycloPoint(*b1))
-                 for kind, apex, b0, b1 in raw)
+def _raw_to_triangles(raw: str) -> tuple[Triangle, ...]:
+    """One triangle per line: its kind, then the four coordinates of each
+    of apex, base0 and base1.  The harvested data is kept as text because
+    every CLI start imports this module, and tuple literals of this size
+    are slow to compile; ``templates()`` parses it once, on first use."""
+    out = []
+    for line in raw.strip().splitlines():
+        kind, *z = line.split()
+        apex, b0, b1 = (CycloPoint(*map(int, z[i:i + 4])) for i in (0, 4, 8))
+        out.append(Triangle.make(TriangleKind(kind), apex, b0, b1))
+    return tuple(out)
 
 
 def _mirror_twin_across_base(t: Triangle) -> Triangle:
@@ -219,7 +235,7 @@ def _pentagram_parts() -> tuple[Triangle, ...]:
     corner = ZERO
     side = ONE * _PENTAGON_SIDE
     for k in range(5):
-        rot = EPS1 ** ((2 * k) % 10)
+        rot = ROT36[(2 * k) % 10]
         for t in point:
             parts.append(t.transform(lambda p: (p * rot) + corner))
         corner = corner + side
@@ -260,7 +276,7 @@ def templates() -> dict[CompositeKind, Template]:
     acute = canonical_acute()
     obtuse = canonical_obtuse()
     deltoid_twin = Triangle.make(TriangleKind.ACUTE, ZERO, TAU_C,
-                                 (TAU_C * EPS1).conj())
+                                 (TAU_C * ROT36[1]).conj())
     table = {
         CompositeKind.THIN_RHOMB: (acute, _mirror_twin_across_base(acute)),
         CompositeKind.THICK_RHOMB: (obtuse, _mirror_twin_across_base(obtuse)),
@@ -298,7 +314,7 @@ class Isometry:
 
     def apply(self, p: CycloPoint) -> CycloPoint:
         q = p.conj() if self.mirror else p
-        return q * (EPS1 ** self.rot) + self.shift
+        return q * ROT36[self.rot % 10] + self.shift
 
 
 @dataclass(frozen=True)
@@ -321,9 +337,157 @@ class CompositeTiling:
         return grouped / len(self.patch.triangles)
 
 
-def _tri_key(kind: TriangleKind, apex: CycloPoint, b0: CycloPoint, b1: CycloPoint):
-    return (kind.value, apex.coords(),
-            frozenset((b0.coords(), b1.coords())))
+# ------------------------------------------------------------ integer keys
+#
+# Matching compares triangles as single integers.  A point z of Z[eps] with
+# |z_i| <= B packs in balanced radix R = 2B + 1 as
+# ((z0*R + z1)*R + z2)*R + z3.  On that box the packing is injective and
+# orders points exactly like their coordinate tuples; it is also linear, so
+# a translated point packs to the packed point plus the packed shift.  A
+# triangle packs as the 13-digit number (kind, apex, lower base, upper
+# base) with kind 0 for acute and 1 for obtuse: it orders triangles like
+# the tuple keys (kind, apex, sorted bases) and a translation by s adds
+# pack(s) * (R^8 + R^4 + 1).  Every radix below comes from a bound on all
+# coordinates it will meet, so two keys are equal only for equal triangles.
+
+
+def _triangle_coords(tris: Sequence[Triangle]) -> list[tuple[int, ...]]:
+    """The twelve coordinates (apex, base0, base1) of each triangle."""
+    return [(a.z0, a.z1, a.z2, a.z3, b.z0, b.z1, b.z2, b.z3,
+             c.z0, c.z1, c.z2, c.z3)
+            for t in tris for a, b, c in ((t.apex, t.base0, t.base1),)]
+
+
+def _max_abs(coords: list[tuple[int, ...]]) -> int:
+    return max(max(map(max, coords), default=0),
+               -min(map(min, coords), default=0))
+
+
+class _Packing:
+    """Balanced radix-(2*bound+1) keys for points with |z_i| <= bound."""
+
+    def __init__(self, bound: int):
+        assert bound >= 0
+        r = 2 * bound + 1
+        self.radix = r
+        self.r4 = r ** 4
+        self.r8 = self.r4 * self.r4
+        self.obtuse = self.r8 * self.r4        # the kind digit
+        self.shift = self.r8 + self.r4 + 1     # translation multiplier
+
+    def point(self, z: Sequence[int], at: int = 0) -> int:
+        """The point with coordinates z[at:at + 4]."""
+        r = self.radix
+        return ((z[at] * r + z[at + 1]) * r + z[at + 2]) * r + z[at + 3]
+
+    def parts(self, parts: tuple[_Part, ...]) -> list[int]:
+        p = self.point
+        return [obtuse * self.obtuse + p(a) * self.r8 + p(lo) * self.r4 + p(hi)
+                for obtuse, a, lo, hi in parts]
+
+    def frames(self, tris: Sequence[Triangle],
+               coords: list[tuple[int, ...]]) -> list[list[int]]:
+        """Triangle keys of the patch in each of its five 72-degree
+        rotations; the radix must cover twice the largest |coordinate|."""
+        obtuse = [t.kind is TriangleKind.OBTUSE for t in tris]
+        return [self.frame_keys(coords, obtuse, k) for k in range(5)]
+
+    def frame_keys(self, coords: list[tuple[int, ...]], obtuse: list[bool],
+                   k: int) -> list[int]:
+        """Triangle keys of the patch rotated by 72k degrees.
+
+        The packed point of eps^k * z is a fixed linear form in z: its
+        coefficients are the weights (R^3, R^2, R, 1, -(R^3+R^2+R+1)) of
+        the five-term form z0 + ... + z3*eps^3 + 0*eps^4, shifted
+        cyclically by k.
+        """
+        r = self.radix
+        w = (r ** 3, r * r, r, 1, -(r ** 3 + r * r + r + 1))
+        x0, x1, x2, x3 = w[k % 5], w[(k + 1) % 5], w[(k + 2) % 5], w[(k + 3) % 5]
+        r4, r8, top = self.r4, self.r8, self.obtuse
+        out = []
+        for (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3), o in zip(coords, obtuse):
+            a = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+            b = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
+            c = c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
+            if b > c:
+                b, c = c, b
+            out.append(o * top + a * r8 + b * r4 + c)
+        return out
+
+
+def _canonical_frame(frames: list[list[int]]) -> tuple[list[int], int]:
+    """The frame whose sorted keys are smallest (the first on ties), and the
+    triangle order by key in that frame."""
+    best, k_star = None, 0
+    for k, keys in enumerate(frames):
+        candidate = sorted(keys)
+        if best is None or candidate < best:
+            best, k_star = candidate, k
+    keys = frames[k_star]
+    return sorted(range(len(keys)), key=keys.__getitem__), k_star
+
+
+def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
+    """Anchor iteration order from a rotation-canonical frame.
+
+    Among the five 72-degree rotations of the patch, take the one whose
+    sorted triangle-key tuple is smallest, and order triangles by their
+    keys in that frame.  Rotating a patch then rotates the order with it,
+    which makes greedy grouping covariant under 72-degree rotation (up to
+    the unavoidable ties of patches that are themselves 5-fold symmetric).
+    """
+    coords = _triangle_coords(patch.triangles)
+    # a rotated coordinate is a coordinate or a difference of two
+    pack = _Packing(2 * _max_abs(coords))
+    return _canonical_frame(pack.frames(patch.triangles, coords))
+
+
+# ------------------------------------------------------------- pose table
+
+# (obtuse, apex, lower base, upper base): one template triangle in a pose,
+# as coordinates relative to the posed anchor apex, bases in tuple order
+_Part = tuple[bool, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+class _Pose(NamedTuple):
+    rot: int
+    mirror: bool
+    chirality: int        # of the anchor triangle in this pose
+    anchor: CycloPoint    # posed anchor apex; a match shifts it onto a target apex
+    parts: tuple[_Part, ...]
+
+
+class _PoseTable(NamedTuple):
+    anchor_kind: TriangleKind
+    poses: tuple[_Pose, ...]  # pose (rot, mirror) at index 2*rot + mirror
+    span: int                 # largest |coordinate| of a part relative to its anchor
+    reach: int                # largest |coordinate| of a posed part point
+
+    def index(self, iso: Isometry) -> int:
+        return 2 * (iso.rot % 10) + bool(iso.mirror)
+
+
+@cache
+def _pose_table(kind: CompositeKind, exponent: int) -> _PoseTable:
+    """The template of ``kind`` at scale tau^exponent in all 20 poses."""
+    scale = TAU ** exponent
+    parts = templates()[kind].parts
+    scaled = {p: p * scale for t in parts for p in t.points()}
+    poses, span, reach = [], 0, 0
+    for rot in range(10):
+        for mirror in (False, True):
+            posed = {p: (q.conj() if mirror else q) * ROT36[rot]
+                     for p, q in scaled.items()}
+            anchor = posed[parts[0].apex]
+            rel = {p: (q - anchor).coords() for p, q in posed.items()}
+            span = max(span, _max_abs(list(rel.values())))
+            reach = max(reach, _max_abs([q.coords() for q in posed.values()]))
+            chirality = -parts[0].chirality if mirror else parts[0].chirality
+            poses.append(_Pose(rot, mirror, chirality, anchor, tuple(
+                (t.kind is TriangleKind.OBTUSE, rel[t.apex],
+                 *sorted((rel[t.base0], rel[t.base1]))) for t in parts)))
+    return _PoseTable(parts[0].kind, tuple(poses), span, reach)
 
 
 def _patch_scale_exponent(patch: Patch) -> int:
@@ -346,34 +510,6 @@ def _patch_scale_exponent(patch: Patch) -> int:
     raise ValueError("patch edge length is not a tau-power of the canonical leg")
 
 
-def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
-    """Anchor iteration order from a rotation-canonical frame.
-
-    Among the five 72-degree rotations of the patch, take the one whose
-    sorted triangle-key tuple is smallest, and order triangles by their
-    keys in that frame.  Rotating a patch then rotates the order with it,
-    which makes greedy grouping covariant under 72-degree rotation (up to
-    the unavoidable ties of patches that are themselves 5-fold symmetric).
-    """
-    tris = patch.triangles
-
-    def keys_under(points_by_tri):
-        return [(tris[i].kind.value, pts[0].coords(),
-                 tuple(sorted((pts[1].coords(), pts[2].coords()))))
-                for i, pts in enumerate(points_by_tri)]
-
-    points = [list(t.points()) for t in tris]
-    best = None
-    for k in range(5):
-        frame_keys = keys_under(points)
-        candidate = sorted(frame_keys)
-        if best is None or candidate < best[0]:
-            best = (candidate, frame_keys, k)
-        points = [[p.rotate72() for p in pts] for pts in points]
-    frame_keys, k_star = best[1], best[2]
-    return sorted(range(len(tris)), key=lambda i: frame_keys[i]), k_star
-
-
 def detect_composites(patch: Patch,
                       policy: Sequence[CompositeKind]) -> CompositeTiling:
     """Greedy deterministic template matching in policy order.
@@ -388,55 +524,50 @@ def detect_composites(patch: Patch,
     tris = patch.triangles
     if not tris:
         return CompositeTiling(patch, ())
-    scale = TAU ** _patch_scale_exponent(patch)
-    index = {_tri_key(t.kind, t.apex, t.base0, t.base1): i
-             for i, t in enumerate(tris)}
+    exponent = _patch_scale_exponent(patch)
+    tables = [(kind, _pose_table(kind, exponent)) for kind in policy
+              if kind not in SINGLETON_KINDS]
+    coords = _triangle_coords(tris)
+    m = _max_abs(coords)
+    # covers the canonical frames (2m) and every probe: an anchor apex
+    # plus a part offset (m + span)
+    pack = _Packing(max([2 * m] + [m + table.span for _, table in tables]))
+    frames = pack.frames(tris, coords)
+    order, k_star = _canonical_frame(frames)
+    index = dict(zip(frames[0], range(len(tris))))
+    apex_keys = [pack.point(c) * pack.shift for c in coords]
     claimed = [False] * len(tris)
-    order, k_star = _canonical_index_order(patch)
     # isometry iteration order aligned with the canonical frame, so that
     # rotating the patch rotates which candidate wins a tie
     rot_order = [(r0 - 2 * k_star) % 10 for r0 in range(10)]
     groups: list[Group] = []
 
-    for kind in policy:
-        if kind in SINGLETON_KINDS:
-            continue
-        template = templates()[kind]
-        scaled = [(t.kind, t.apex * scale, t.base0 * scale, t.base1 * scale,
-                   t.chirality) for t in template.parts]
-        anchor_kind, anchor_apex, _, _, anchor_chir = scaled[0]
-        posed = []
+    for kind, table in tables:
+        by_chirality: dict[int, list] = {1: [], -1: []}
         for rot in rot_order:
             for mirror in (False, True):
-                mult = EPS1 ** rot
-                posed.append(((rot, mirror), [
-                    (k, (a.conj() if mirror else a) * mult,
-                     (b0.conj() if mirror else b0) * mult,
-                     (b1.conj() if mirror else b1) * mult)
-                    for (k, a, b0, b1, _) in scaled]))
+                pose = table.poses[2 * rot + mirror]
+                by_chirality[pose.chirality].append((pose, pack.parts(pose.parts)))
         for i in order:
-            if claimed[i] or tris[i].kind is not anchor_kind:
-                continue
             target = tris[i]
-            for (rot, mirror), parts in posed:
-                want_chir = -anchor_chir if mirror else anchor_chir
-                if target.chirality != want_chir:
-                    continue
-                shift = target.apex - parts[0][1]
+            if claimed[i] or target.kind is not table.anchor_kind:
+                continue
+            base = apex_keys[i]
+            for pose, keys in by_chirality.get(target.chirality, ()):
                 hit: list[int] = []
-                ok = True
-                for (k, a, b0, b1) in parts:
-                    j = index.get(_tri_key(k, a + shift, b0 + shift, b1 + shift))
+                for key in keys:
+                    j = index.get(base + key)
                     if j is None or claimed[j]:
-                        ok = False
                         break
                     hit.append(j)
-                if ok and len(set(hit)) == len(parts):
-                    for j in hit:
-                        claimed[j] = True
-                    groups.append(Group(kind, tuple(sorted(hit)),
-                                        Isometry(rot, mirror, shift)))
-                    break
+                else:
+                    if len(set(hit)) == len(keys):
+                        for j in hit:
+                            claimed[j] = True
+                        shift = target.apex - pose.anchor
+                        groups.append(Group(kind, tuple(sorted(hit)),
+                                            Isometry(pose.rot, pose.mirror, shift)))
+                        break
 
     for i in order:
         if not claimed[i]:
@@ -452,43 +583,48 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     across their base into thick rhombs, and remaining acute twins across
     a leg (shared apex) into deltoids.  Scale-independent."""
     tris = patch.triangles
-    claimed = [False] * len(tris)
-    order, _ = _canonical_index_order(patch)
+    coords = _triangle_coords(tris)
+    pack = _Packing(2 * _max_abs(coords))  # covers the canonical frames
+    order, _ = _canonical_frame(pack.frames(tris, coords))
     rank = {i: pos for pos, i in enumerate(order)}
+    # packed (apex, base0, base1) of each triangle
+    points = [(pack.point(c), pack.point(c, 4), pack.point(c, 8)) for c in coords]
+    claimed = [False] * len(tris)
     groups: list[Group] = []
 
     base_map: dict[tuple, list[int]] = {}
-    for i, t in enumerate(tris):
-        key = (t.kind.value, tuple(sorted((t.base0.coords(), t.base1.coords()))))
-        base_map.setdefault(key, []).append(i)
+    for i, (t, (_, b0, b1)) in enumerate(zip(tris, points)):
+        obtuse = t.kind is TriangleKind.OBTUSE
+        base_map.setdefault((obtuse, min(b0, b1), max(b0, b1)), []).append(i)
     for kind, want in ((CompositeKind.THIN_RHOMB, TriangleKind.ACUTE),
                        (CompositeKind.THICK_RHOMB, TriangleKind.OBTUSE)):
+        obtuse = want is TriangleKind.OBTUSE
         for i in order:
             if claimed[i] or tris[i].kind is not want:
                 continue
-            key = (want.value, tuple(sorted((tris[i].base0.coords(),
-                                             tris[i].base1.coords()))))
-            twins = [j for j in base_map[key] if j != i and not claimed[j]
-                     and tris[j].apex != tris[i].apex]
+            apex, b0, b1 = points[i]
+            twins = [j for j in base_map[(obtuse, min(b0, b1), max(b0, b1))]
+                     if j != i and not claimed[j] and points[j][0] != apex]
             if twins:
                 j = min(twins, key=rank.__getitem__)
                 claimed[i] = claimed[j] = True
                 groups.append(Group(kind, tuple(sorted((i, j)))))
 
-    leg_map: dict[tuple, list[int]] = {}
-    for i, t in enumerate(tris):
+    leg_map: dict[tuple[int, int], list[int]] = {}
+    for i, (t, (apex, b0, b1)) in enumerate(zip(tris, points)):
         if claimed[i] or t.kind is not TriangleKind.ACUTE:
             continue
-        for b in (t.base0, t.base1):
-            leg_map.setdefault((t.apex.coords(), b.coords()), []).append(i)
+        for b in (b0, b1):
+            leg_map.setdefault((apex, b), []).append(i)
     for i in order:
         if claimed[i] or tris[i].kind is not TriangleKind.ACUTE:
             continue
-        t = tris[i]
+        chirality = tris[i].chirality
+        apex, b0, b1 = points[i]
         partners = []
-        for b in (t.base0, t.base1):
-            for j in leg_map.get((t.apex.coords(), b.coords()), ()):
-                if j != i and not claimed[j] and tris[j].chirality != t.chirality:
+        for b in (b0, b1):
+            for j in leg_map.get((apex, b), ()):
+                if j != i and not claimed[j] and tris[j].chirality != chirality:
                     partners.append(j)
         if partners:
             j = min(partners, key=rank.__getitem__)
@@ -520,10 +656,11 @@ class GroupingReport:
 def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     """Re-check the partition property and every group's geometry.
 
-    Template groups are re-verified by applying the recorded isometry to
-    the template and demanding exact triangle equality; pair groups from
-    glue_rhombs are re-verified structurally (mirror twin across the
-    shared edge); singletons must be lone triangles of their kind.
+    Template groups are re-verified by translating the template's cached
+    pose under the recorded isometry by the recorded shift and demanding
+    exact equality of triangle sets; pair groups from glue_rhombs are
+    re-verified structurally (mirror twin across the shared edge);
+    singletons must be lone triangles of their kind.
     """
     problems: list[str] = []
     seen: set[int] = set()
@@ -536,7 +673,17 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     if seen != set(range(len(tris))):
         problems.append("groups do not cover the triangle set")
 
-    scale = None
+    posed = [g for g in tiling.groups
+             if g.iso is not None and g.kind not in SINGLETON_KINDS]
+    if posed:
+        exponent = _patch_scale_exponent(tiling.patch)
+        coords = _triangle_coords(tris)
+        # covers the patch and every translated posed part point
+        pack = _Packing(max([_max_abs(coords)] + [
+            _pose_table(g.kind, exponent).reach + max(map(abs, g.iso.shift.coords()))
+            for g in posed]))
+        keys = pack.frame_keys(coords, [t.kind is TriangleKind.OBTUSE for t in tris], 0)
+        part_keys: dict[tuple[CompositeKind, int], list[int]] = {}
     for g in tiling.groups:
         if g.kind in SINGLETON_KINDS:
             want = (TriangleKind.ACUTE if g.kind is CompositeKind.ACUTE_TRIANGLE
@@ -549,17 +696,14 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
             if not ok:
                 problems.append(f"pair group failed re-verification: {g}")
             continue
-        if scale is None:
-            scale = TAU ** _patch_scale_exponent(tiling.patch)
-        got = {_tri_key(tris[i].kind, tris[i].apex, tris[i].base0, tris[i].base1)
-               for i in g.indices}
-        want_keys = set()
-        for t in templates()[g.kind].parts:
-            a = g.iso.apply(t.apex * scale)
-            b0 = g.iso.apply(t.base0 * scale)
-            b1 = g.iso.apply(t.base1 * scale)
-            want_keys.add(_tri_key(t.kind, a, b0, b1))
-        if got != want_keys:
+        table = _pose_table(g.kind, exponent)
+        at = table.index(g.iso)
+        pose = table.poses[at]
+        if (g.kind, at) not in part_keys:
+            part_keys[g.kind, at] = pack.parts(pose.parts)
+        shift = pack.point((pose.anchor + g.iso.shift).coords()) * pack.shift
+        if ({keys[i] for i in g.indices}
+                != {key + shift for key in part_keys[g.kind, at]}):
             problems.append(f"isometry re-verification failed for {g.kind.value} "
                             f"at indices {g.indices}")
     return GroupingReport(not problems, tuple(problems))

@@ -108,6 +108,24 @@ class TestMalformedInput:
         assert f"error: line {at + 1}: expected 'groups <n>'" in err
 
 
+    @pytest.mark.parametrize("command", [
+        ["group", "--policy", "rhombs", "--out", "out.qtile"],
+        ["render", "--svg", "out.svg"],
+    ], ids=["group", "render"])
+    def test_changed_triangle_kind_exits_1(self, tmp_path, capsys, command):
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        text = tiling.read_text()
+        at = text.index("\nA ")
+        tiling.write_text(text[:at + 1] + "O" + text[at + 2:])
+        args = [command[0], str(tiling)] + [
+            str(tmp_path / a) if a.startswith("out.") else a for a in command[1:]]
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert "error: triangle 0: obtuse ratio broken" in err
+        assert not any(tmp_path.glob("out.*"))
+
+
 class TestStats:
     def test_alloy_line(self, capsys):
         code, out, _ = run(capsys, "stats", "--alloy", "86:14")

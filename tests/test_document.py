@@ -12,10 +12,10 @@ from fivefold.document import (
     tiling_to_document,
     write_tiling,
 )
-from fivefold.grouping import SET_B, detect_composites, glue_rhombs
+from fivefold.grouping import SET_B, detect_composites, glue_rhombs, templates
 from fivefold.projection import LatticeEnumeration, generate_quasilattice
 from fivefold.svg import RenderOptions, render_svg
-from fivefold.triangles import deflate_patch, seed_sun, seed_wheel, validate_patch
+from fivefold.triangles import Patch, deflate_patch, seed_sun, seed_wheel, validate_patch
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,32 @@ class TestValidation:
         with pytest.raises(DocumentError, match="parent index 20 out of range"):
             read_tiling(bad.replace(" 999\n", " 20\n").encode())
         assert read_tiling(bad.replace(" 999\n", f" {last}\n").encode())
+
+    def test_changed_kind_rejected(self, sun_doc):
+        blob = write_tiling(sun_doc).decode()
+        at = blob.index("\nA ")
+        bad = blob[:at + 1] + "O" + blob[at + 2:]
+        with pytest.raises(DocumentError, match="triangle 0: obtuse ratio broken"):
+            read_tiling(bad.encode())
+        at = blob.index("\nO ")
+        index = blob[:at].count("\nA ")  # triangles before the first obtuse one
+        bad = blob[:at + 1] + "A" + blob[at + 2:]
+        with pytest.raises(DocumentError, match=f"triangle {index}: acute ratio broken"):
+            read_tiling(bad.encode())
+
+    def test_scalene_triangle_rejected(self):
+        # apex 0, legs 2 and 1 along the 0- and 72-degree rays
+        doc = TilingDocument(vertices=((0, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0)),
+                             triangles=(DocTriangle("A", 0, 2, 1, 1),))
+        with pytest.raises(DocumentError, match="triangle 0: not isosceles"):
+            doc.validate()
+        with pytest.raises(DocumentError, match="not isosceles"):
+            write_tiling(doc)
+
+    def test_every_template_shape_accepted(self):
+        for kind, template in templates().items():
+            doc = patch_to_document(Patch(template.parts))
+            assert read_tiling(write_tiling(doc)) == doc, kind
 
     def test_writer_validates(self):
         bad = TilingDocument(vertices=((0, 0, 0, 0),),

@@ -7,12 +7,15 @@ from fivefold.exact import (
     EPS,
     EPS1,
     ONE,
+    ROT36,
     TAU_C,
     CycloPoint,
     GoldenInt,
+    cross_ab,
     cross_sign,
     dot2,
     int_lin_independent,
+    sq_norm_ab,
 )
 
 TAU = GoldenInt(0, 1)
@@ -231,6 +234,15 @@ class TestClosedFormKernels:
             assert cross_sign(u, u * EPS1 ** turn) == 0
         else:
             assert cross_sign(u, u * EPS1 ** turn) == (1 if turn < 5 else -1)
+
+    @given(wide_cyclos, wide_cyclos)
+    def test_coordinate_forms_match_point_forms(self, u, v):
+        assert cross_ab(u.coords(), v.coords()) == (
+            (u.conj() * v).imag_by_sin36().a, (u.conj() * v).imag_by_sin36().b)
+        assert GoldenInt(*sq_norm_ab(u.coords())) == u.sq_norm()
+
+    def test_rotation_table(self):
+        assert ROT36 == tuple(EPS1 ** k for k in range(10))
 
     @given(goldens)
     def test_sign_matches_embedding(self, g):

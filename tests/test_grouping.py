@@ -1,12 +1,21 @@
-import pytest
+import hashlib
+from dataclasses import replace
+from functools import cache
 
-from fivefold.exact import GoldenInt
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fivefold.exact import CycloPoint, GoldenInt
 from fivefold.grouping import (
     POLICIES,
     RHOMBS,
     SET_A,
     SET_B,
     CompositeKind,
+    _canonical_index_order,
+    _Packing,
+    _patch_scale_exponent,
     count_tiles,
     detect_composites,
     glue_rhombs,
@@ -180,3 +189,191 @@ class TestDetectComposites:
     def test_policies_table(self):
         assert set(POLICIES) == {"seta", "setb", "rhombs"}
         assert POLICIES["setb"] is SET_B
+
+
+# ------------------------------------------------- pinned group assignments
+
+# Far translations, coordinates about 10^7.  Keys only ever compare points
+# of one patch, so a compact patch far out tests large coordinates, while
+# two copies APART test a radix that must exceed their separation: with a
+# smaller one, tuple order and packed order disagree on (1, -10^7, ...).
+FAR = CycloPoint(10_000_019, -9_999_991, 10_000_079, -10_000_103)
+APART = CycloPoint(1, -10_000_019, 10_000_079, -10_000_103)
+
+
+def translated(patch: Patch, shift: CycloPoint) -> Patch:
+    return Patch(tuple(t.transform(lambda p: p + shift) for t in patch.triangles),
+                 generation=patch.generation, seed=patch.seed)
+
+
+@cache
+def pinned_patch(name: str) -> Patch:
+    if name == "wheel5-far":
+        return translated(pinned_patch("wheel5"), FAR)
+    if name == "wheel5-pair":
+        patch = pinned_patch("wheel5")
+        return replace(patch, triangles=patch.triangles
+                       + translated(patch, APART).triangles)
+    seed, steps = name.rstrip("0123456789"), int(name[-1])
+    return deflate_patch(seed_patch(seed), steps)
+
+
+def assignment_digest(tiling) -> str:
+    """sha256 over every group's (kind, indices, rot, mirror, shift)."""
+    h = hashlib.sha256()
+    for g in tiling.groups:
+        iso = None if g.iso is None else (g.iso.rot, g.iso.mirror, g.iso.shift.coords())
+        h.update(repr((g.kind.value, g.indices, iso)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# Recorded with the coordinate-tuple matcher that the integer keys replaced.
+PINNED_ASSIGNMENTS = {
+    ("wheel5", "seta"): "98e1d2534b4094f473122b4708b107895ae64560c973dea64b84afe6816ee4e1",
+    ("wheel5", "setb"): "7309980f8ee1995bd10c9a292cb983222b7286fe918cc85f47843375c8be8d1a",
+    ("wheel5", "rhombs"): "6209856924813831c1c9362a15752ee5c008e738fa79f2e92734c42024e7393d",
+    ("sun5", "seta"): "6b7f1d4bb5262476146b4df17d4c720727eaef3e9ce58c2234dacfd7bdea9416",
+    ("sun5", "setb"): "c9d82d1906b3ab7c5c604ae43adb307e027dba2865f272f4b9e2e59383d04225",
+    ("sun5", "rhombs"): "2df4d49cc866a2170cc93dcb6e15acda98fc3a68a860c00de38f51b8fce611ac",
+    ("acute6", "seta"): "691fc8781886c40efa3fe6fcb533f46e2e68e91f9db0deafdf3f6024b67324f8",
+    ("acute6", "setb"): "b089dcdea2d31c9b55498e83e1d5f84becab03e71a62981022ff577ffe03889f",
+    ("acute6", "rhombs"): "670324c278c37638ba9b4ac5cb52233bc450bd901da7722f1213f022010a86f9",
+    ("obtuse6", "seta"): "1b788e9b8a1f68be41961e3e46e2b45deec24985dab0ec4f54da5dd5d9cf80f5",
+    ("obtuse6", "setb"): "c32a9fd68ccb47b407f7488031f6a6a1b1b76bce25a994ee84f05dda6b318413",
+    ("obtuse6", "rhombs"): "0717d04414b3db55f610bc7fdbbd9037d83e6cc0f1c15aa58f906a1b35e98374",
+    ("wheel5-far", "seta"): "f40fd19de6bd8a59350e71ea2379388fa30a164213afa2ac72c4c434aaba024c",
+    ("wheel5-far", "setb"): "e97ab5054b81388342906eca0b892a7a82d06ea6a1c44d39c2bb54f0ae59a635",
+    ("wheel5-far", "rhombs"): "3da38aa8b3abf815f1104e5ed691495656be5517e7482f1bc7046780a67b2b60",
+    ("sun6", "glue"): "c680003bfc7f731bd4a099f4f44196115c05f0e386a0e5978b5905fc6daffc6d",
+    ("wheel5-pair", "seta"): "6f974e91e6e8daa53af8295e441e2609f61f83577204a01f670bde51c510b1a0",
+    ("wheel5-pair", "setb"): "ab8e899fe335f86646fcdf964e96b892bc6986388d455865ce125367b22098c3",
+    ("wheel5-pair", "rhombs"): "3dd8714609dcc07bfd5da083041d0f6a075d6a79075ebc7529b5a70e4e20841e",
+    ("wheel5-pair", "glue"): "0c91578a2ccd73fcf4aa9e51bed3f5fc6faa248e9c540afdb22184e6f24f27ba",
+}
+
+PINNED_ORDERS = {
+    "wheel5": "15517af60ca0e4a4b430acdfac94384dabdc600be03214aa9e35439cd7f42d1c",
+    "sun5": "f08a6b54d967c946d7b1e5ea2905ec9c23c9c85bd157bbb27f7a914546f8209b",
+    "acute6": "5fcf2ab40e7cf609eab97cc2ad4ed8aa350c9571a26b26772ed6fbf00db7c60f",
+    "obtuse6": "b38ced2983ceb1b06a7f7a130c4c3a88b8ecb707078cb9e4ba806874b2b05d3b",
+    "sun6": "6e7885c7a74ad5aedb59cb25ea77b0c473042715a0b6c44e781cc89e51e78c9c",
+    "wheel5-far": "b1474b5e2c24cdafdf08c48ab965262915e80e71a420a26307989b20d3357b09",
+    "wheel5-pair": "c8020fd1249010f5506e5133ac256af900677cb570bc76e2d233a26e9c33b098",
+}
+
+
+class TestPinnedAssignments:
+    @pytest.mark.parametrize("name,policy", sorted(PINNED_ASSIGNMENTS))
+    def test_group_assignment_digest(self, name, policy):
+        patch = pinned_patch(name)
+        tiling = (glue_rhombs(patch) if policy == "glue"
+                  else detect_composites(patch, POLICIES[policy]))
+        assert assignment_digest(tiling) == PINNED_ASSIGNMENTS[name, policy]
+        assert verify_grouping(tiling).ok
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ORDERS))
+    def test_canonical_order_digest(self, name):
+        order, k_star = _canonical_index_order(pinned_patch(name))
+        digest = hashlib.sha256(repr((k_star, order)).encode()).hexdigest()
+        assert digest == PINNED_ORDERS[name]
+
+    def test_isometries_map_templates_onto_groups(self):
+        patch = pinned_patch("wheel5")
+        scale = TAU ** _patch_scale_exponent(patch)
+        for g in detect_composites(patch, SET_B).groups:
+            if g.iso is None:
+                continue
+            want = set()
+            for t in templates()[g.kind].parts:
+                a, b0, b1 = (g.iso.apply(p * scale) for p in t.points())
+                want.add((t.kind, a, frozenset((b0, b1))))
+            got = {(t.kind, t.apex, frozenset((t.base0, t.base1)))
+                   for t in (patch.triangles[i] for i in g.indices)}
+            assert got == want
+
+
+# ------------------------------------------------------------ integer keys
+
+small_coords = st.tuples(*[st.integers(-40, 40)] * 4)
+
+
+class TestPacking:
+    @given(small_coords, small_coords)
+    def test_points_pack_in_tuple_order(self, u, v):
+        pack = _Packing(40)
+        assert (pack.point(u) < pack.point(v)) == (u < v)
+        assert (pack.point(u) == pack.point(v)) == (u == v)
+
+    @given(small_coords, small_coords, small_coords)
+    def test_packing_is_linear(self, u, v, w):
+        pack = _Packing(40)
+        s = tuple(a + b for a, b in zip(u, v))
+        assert pack.point(s) == pack.point(u) + pack.point(v)
+        assert pack.point(u + v + w, 4) == pack.point(v)
+
+    @given(st.lists(st.tuples(st.booleans(), small_coords, small_coords, small_coords),
+                    min_size=1, max_size=4), st.integers(0, 4))
+    def test_frame_keys_are_keys_of_rotated_triangles(self, rows, k):
+        pack = _Packing(80)  # rotated coordinates reach twice the bound
+        coords = [a + b + c for _, a, b, c in rows]
+        got = pack.frame_keys(coords, [o for o, *_ in rows], k)
+        for key, (obtuse, *points) in zip(got, rows):
+            a, b, c = (CycloPoint(*p) for p in points)
+            for _ in range(k):
+                a, b, c = a.rotate72(), b.rotate72(), c.rotate72()
+            lo, hi = sorted((b.coords(), c.coords()))
+            assert key == pack.parts(((obtuse, a.coords(), lo, hi),))[0]
+
+
+# ------------------------------------------------- verify_grouping failures
+
+def _tampered(tiling, change):
+    """The tiling with its first pentagon group replaced by change(group)."""
+    at = next(n for n, g in enumerate(tiling.groups)
+              if g.kind is CompositeKind.PENTAGON_SMALL)
+    groups = list(tiling.groups)
+    groups[at] = change(groups[at])
+    return groups[at], replace(tiling, groups=tuple(groups))
+
+
+class TestVerifyGroupingRejects:
+    @pytest.fixture(scope="class")
+    def tiling(self):
+        tiling = detect_composites(pinned_patch("wheel5"), SET_B)
+        assert verify_grouping(tiling).ok
+        return tiling
+
+    @pytest.mark.parametrize("change", [
+        lambda g: replace(g, iso=replace(g.iso, rot=(g.iso.rot + 1) % 10)),
+        lambda g: replace(g, iso=replace(g.iso, rot=(g.iso.rot + 2) % 10)),
+        lambda g: replace(g, iso=replace(g.iso, mirror=not g.iso.mirror)),
+        lambda g: replace(g, iso=replace(g.iso, shift=g.iso.shift + CycloPoint(1, 0, 0, 0))),
+        lambda g: replace(g, iso=replace(g.iso, shift=g.iso.shift + CycloPoint(
+            10 ** 12, -(10 ** 12), 3, 10 ** 15))),
+        lambda g: replace(g, kind=CompositeKind.PENTAGON_BIG),
+        lambda g: replace(g, kind=CompositeKind.TRAPEZOID),
+    ], ids=["rot36", "rot72", "mirror", "shift", "far-shift", "kind-big", "kind-trapezoid"])
+    def test_tampered_isometry_or_kind(self, tiling, change):
+        g, bad = _tampered(tiling, change)
+        report = verify_grouping(bad)
+        assert not report.ok
+        assert (f"isometry re-verification failed for {g.kind.value} "
+                f"at indices {g.indices}") in report.problems
+
+    def test_shift_in_the_kernel_of_a_small_radix(self):
+        # (0, 0, 1, -R) packs to 0 in radix R; the radix must grow with the
+        # recorded shift so that no such shift passes for the true one
+        tiling = detect_composites(Patch(templates()[CompositeKind.PENTAGON_SMALL].parts),
+                                   SET_B)
+        for radix in range(1, 400):
+            _, bad = _tampered(tiling, lambda g: replace(g, iso=replace(
+                g.iso, shift=g.iso.shift + CycloPoint(0, 0, 1, -radix))))
+            assert not verify_grouping(bad).ok, radix
+
+    def test_dropped_index(self, tiling):
+        g, bad = _tampered(tiling, lambda g: replace(g, indices=g.indices[:-1]))
+        report = verify_grouping(bad)
+        assert "groups do not cover the triangle set" in report.problems
+        assert (f"isometry re-verification failed for {g.kind.value} "
+                f"at indices {g.indices}") in report.problems

@@ -1,5 +1,6 @@
 """Property tests: the exact patch validator against an exact brute force,
-and the .qtile reader's canonical form under token-level mutations."""
+the reader's triangle shape check against ``check_triangle``, and the
+.qtile reader's canonical form under token-level mutations."""
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fivefold.document import (
     DocumentError,
     ProjectionMeta,
+    _shape_problem,
     read_tiling,
     tiling_to_document,
     write_tiling,
@@ -17,7 +19,10 @@ from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, cross_sign, 
 from fivefold.grouping import glue_rhombs, templates
 from fivefold.triangles import (
     Patch,
+    Triangle,
+    TriangleKind,
     _topology_problem,
+    check_triangle,
     canonical_acute,
     canonical_obtuse,
     deflate_patch,
@@ -180,6 +185,23 @@ def test_deflated_seeds_accepted(seed):
 def test_templates_accepted(kind):
     report = validate_patch(Patch(templates()[kind].parts))
     assert report.ok, report.problems
+
+
+# ------------------------------------------------- reader shape check
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES[1].triangles), st.sampled_from("AO"),
+       st.sampled_from([1, -1]), st.integers(0, 2), st.integers(0, 3),
+       st.integers(-2, 2))
+def test_reader_shape_check_agrees_with_check_triangle(t, kind, chirality,
+                                                       vertex, axis, delta):
+    points = [list(p.coords()) for p in t.points()]
+    points[vertex][axis] += delta
+    a, b, c = (tuple(p) for p in points)
+    moved = Triangle(TriangleKind(kind), CycloPoint(*a), CycloPoint(*b),
+                     CycloPoint(*c), chirality)
+    assert ((_shape_problem(kind, chirality, a, b, c) is None)
+            == (check_triangle(moved) is None))
 
 
 # ----------------------------------------------------- reader canonical form
