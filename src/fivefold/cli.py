@@ -8,6 +8,7 @@ All diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import FORMAT_VERSION, __version__
@@ -41,9 +42,22 @@ def _parse_gamma(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("gamma must be three comma-separated floats")
     try:
-        return tuple(float(p) for p in parts)
+        gamma = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad gamma component in {text!r}")
+    if not all(math.isfinite(g) for g in gamma):
+        raise argparse.ArgumentTypeError(f"gamma must be finite, got {text!r}")
+    return gamma
+
+
+def _parse_radius(text: str) -> float:
+    try:
+        radius = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad radius {text!r}")
+    if not math.isfinite(radius):
+        raise argparse.ArgumentTypeError(f"radius must be finite, got {text!r}")
+    return radius
 
 
 def _parse_overlay(text: str) -> tuple[int, int]:
@@ -92,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("project", help="cut-and-project a quasilattice")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_parse_radius, required=True)
     p.add_argument("--gamma", type=_parse_gamma, required=True)
     p.add_argument("--box", type=int, default=8)
     p.add_argument("--out", required=True)
@@ -102,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=_parse_gamma, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", required=True)
-    p.add_argument("--radius", type=float, default=6.0)
+    p.add_argument("--radius", type=_parse_radius, default=6.0)
     p.add_argument("--box", type=int, default=8)
 
     p = sub.add_parser("stats", help="tau-power ratio statistics")

@@ -13,6 +13,7 @@ for every document it accepts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -21,7 +22,7 @@ from .exact import CycloPoint, cross_ab, golden_sign, sq_norm_ab
 from .grouping import CompositeKind, CompositeTiling
 from .triangles import Patch, Triangle, TriangleKind
 
-if TYPE_CHECKING:  # projection pulls in numpy and scipy
+if TYPE_CHECKING:  # projection pulls in numpy
     from .projection import QuasiPoint
 
 __all__ = [
@@ -113,6 +114,20 @@ class TilingDocument:
                     seen.add(idx)
         if self.generation < 0:
             raise DocumentError("generation must be >= 0")
+        problem = self.projection and _projection_problem(self.projection)
+        if problem:
+            raise DocumentError(problem)
+
+
+def _projection_problem(p: ProjectionMeta) -> str | None:
+    """What makes this projection metadata unusable as generator input."""
+    if not all(math.isfinite(g) for g in p.gamma):
+        return "projection gamma must be finite"
+    if not (math.isfinite(p.radius) and p.radius > 0):
+        return "projection radius must be finite and positive"
+    if p.box < 1:
+        return "projection box must be >= 1"
+    return None
 
 
 def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
@@ -282,6 +297,9 @@ def read_tiling(data: bytes) -> TilingDocument:
             r.fail("bad float in projection metadata")
         projection = ProjectionMeta(gamma, radius, _parse_int(r, parts[5]))
         r.canonical(line, _projection_line(projection))
+        problem = _projection_problem(projection)
+        if problem:
+            r.fail(problem)
         line = r.next()
     if line != "end":
         r.fail(f"expected 'end', got {line!r}")

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .exact import CycloPoint
 from .triangles import symmetry_order
@@ -93,9 +92,6 @@ class Window:
     offsets: np.ndarray
     gamma: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def facet_count(self) -> int:
-        return len(self.offsets)
-
     def shifted(self, gamma: Sequence[float]) -> "Window":
         return replace(self, gamma=tuple(float(g) for g in gamma))
 
@@ -116,12 +112,16 @@ def cube_vertex_projections(basis: ProjectionBasis | None = None) -> np.ndarray:
 
 
 def build_window(basis: ProjectionBasis | None = None) -> Window:
-    """Acceptance window: convex hull of the 32 projected 5-cube vertices."""
-    pts = cube_vertex_projections(basis)
-    hull = ConvexHull(pts)
-    eq = hull.equations  # rows (nx, ny, nz, b) with n.x + b <= 0 inside
-    window = Window(eq[:, :3].copy(), eq[:, 3].copy())
-    inside = window.residuals(pts) <= 1e-9
+    """Acceptance window: the projected unit 5-cube, a zonotope with two parallel
+    faces per pair i < j of cube edge images g_k: unit normals n = +-(g_i x g_j)
+    / |g_i x g_j| and offsets -sum_k max(0, n.g_k), the cube's support along n."""
+    corners = cube_vertex_projections(basis)
+    gens = corners[[1, 2, 4, 8, 16]]  # g_k, the image of the k-th unit vector
+    normals = np.cross(*gens[np.array(np.triu_indices(5, 1))])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = np.vstack([normals, -normals])
+    window = Window(normals, -np.maximum(normals @ gens.T, 0.0).sum(axis=1))
+    inside = window.residuals(corners) <= 1e-9
     if not inside.all():
         raise ArithmeticError("degenerate acceptance window (basis bug?)")
     return window
@@ -171,8 +171,8 @@ class LatticeEnumeration:
     def __init__(self, box: int, radius: float):
         if box < 1:
             raise ValueError("box must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be finite and positive")
         self.box = box
         self.radius = radius
         self.basis = projection_basis()
@@ -215,11 +215,13 @@ class LatticeEnumeration:
         closed window by more than float error and skip the window test."""
         mask = np.zeros(len(self.points), dtype=bool)
         gx, gy, gz = (float(g) for g in gamma)
-        if not math.isfinite(gz):  # the window test accepts nothing there
+        lo = SQRT5 * (gz + self._depth[0])
+        hi = SQRT5 * (gz + self._depth[1])
+        # a non-finite gz, or one so large that its band edge overflows, puts
+        # the window past every point: the window test accepts nothing there
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             return mask
-        lo = math.floor(SQRT5 * (gz + self._depth[0])) - 1
-        hi = math.ceil(SQRT5 * (gz + self._depth[1])) + 1
-        start, stop = np.searchsorted(self._sums, (lo, hi + 1))
+        start, stop = np.searchsorted(self._sums, (math.floor(lo) - 1, math.ceil(hi) + 2))
         dx = self._star_x[start:stop] - gx
         dy = self._star_y[start:stop] - gy
         rows = self._by_sum[start + np.flatnonzero(dx * dx + dy * dy <= self._reach_sq)]

@@ -82,6 +82,14 @@ class TestProjectAndScan:
         assert "accepted points" in err
         assert "projection 0.01 0.0137 0.0071 3.0 5" in out.read_text()
 
+    def test_far_gamma_accepts_nothing(self, tmp_path, capsys):
+        out = tmp_path / "far.qtile"
+        code, _, err = run(capsys, "project", "--radius", "3.0",
+                           "--gamma", "0,0,1e308", "--box", "3", "--out", str(out))
+        assert code == 0
+        assert "0 accepted points" in err
+        assert "projection 0.0 0.0 1e+308 3.0 3" in out.read_text()
+
     def test_scan_csv(self, tmp_path, capsys):
         csv = tmp_path / "scan.csv"
         code, _, err = run(capsys, "scan", "--from", "0,0,-1.118033988749895",
@@ -160,6 +168,28 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "qtile format 1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["project", "--radius", "nan", "--gamma", "0.01,0.0137,0.0071"],
+        ["project", "--radius", "inf", "--gamma", "0.01,0.0137,0.0071"],
+        ["project", "--radius", "3", "--gamma", "nan,0,0"],
+        ["project", "--radius", "3", "--gamma", "0,-inf,0"],
+        ["scan", "--from", "0,0,nan", "--to", "0,0,-0.9"],
+        ["scan", "--from", "0,0,-1.1", "--to", "inf,0,-0.9"],
+        ["scan", "--from", "0,0,-1.1", "--to", "0,0,-0.9", "--radius", "nan"],
+    ], ids=["project-radius-nan", "project-radius-inf", "project-gamma-nan",
+            "project-gamma-inf", "scan-from-nan", "scan-to-inf", "scan-radius-nan"])
+    def test_non_finite_projection_input_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] == "project":
+            argv = argv + ["--out", str(out)]
+        else:
+            argv = argv + ["--steps", "3", "--csv", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -177,3 +207,25 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_project_and_scan_run_without_scipy(self, tmp_path, capsys):
+        # scipy is a test-only dependency: with every scipy import made to
+        # fail, both projection commands still write the same bytes
+        project = ["project", "--radius", "3", "--gamma", "0.01,0.0137,0.0071",
+                   "--box", "4"]
+        scan = ["scan", "--from", "0,0,-1.118033988749895", "--to", "0,0,-0.9",
+                "--steps", "3", "--radius", "3", "--box", "4"]
+        blocked = [project + ["--out", str(tmp_path / "blocked.qtile")],
+                   scan + ["--csv", str(tmp_path / "blocked.csv")]]
+        src = str(Path(fivefold.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys; sys.modules['scipy'] = None; from fivefold.cli import run; "
+                f"print([run(argv) for argv in {blocked!r}])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[0, 0]"
+        assert run(capsys, *project, "--out", str(tmp_path / "q.qtile"))[0] == 0
+        assert run(capsys, *scan, "--csv", str(tmp_path / "s.csv"))[0] == 0
+        assert (tmp_path / "blocked.qtile").read_bytes() == (tmp_path / "q.qtile").read_bytes()
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()

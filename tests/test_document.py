@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fivefold.document import (
@@ -218,6 +220,37 @@ class TestValidation:
                              triangles=(DocTriangle("A", 0, 0, 5, 1),))
         with pytest.raises(DocumentError):
             write_tiling(bad)
+
+
+GOOD_PROJECTION = ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 5)
+BAD_PROJECTIONS = [
+    (ProjectionMeta((math.nan, 0.0137, 0.0071), 3.0, 5), "gamma must be finite"),
+    (ProjectionMeta((0.01, 0.0137, -math.inf), 3.0, 5), "gamma must be finite"),
+    (ProjectionMeta((0.01, 0.0137, 0.0071), math.nan, 5), "radius must be finite"),
+    (ProjectionMeta((0.01, 0.0137, 0.0071), math.inf, 5), "radius must be finite"),
+    (ProjectionMeta((0.01, 0.0137, 0.0071), 0.0, 5), "radius must be finite and positive"),
+    (ProjectionMeta((0.01, 0.0137, 0.0071), -3.0, 5), "radius must be finite and positive"),
+    (ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 0), "box must be >= 1"),
+]
+BAD_IDS = ["gamma-nan", "gamma-inf", "radius-nan", "radius-inf", "radius-zero",
+           "radius-negative", "box-zero"]
+
+
+class TestProjectionMetadata:
+    @pytest.mark.parametrize("meta,problem", BAD_PROJECTIONS, ids=BAD_IDS)
+    def test_writer_refuses(self, meta, problem):
+        with pytest.raises(DocumentError, match=f"projection {problem}"):
+            write_tiling(TilingDocument(seed="projection", projection=meta))
+
+    @pytest.mark.parametrize("meta,problem", BAD_PROJECTIONS, ids=BAD_IDS)
+    def test_reader_names_the_projection_line(self, meta, problem):
+        good = write_tiling(TilingDocument(seed="projection", projection=GOOD_PROJECTION))
+        lines = good.decode().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("projection "))
+        lines[at] = " ".join(["projection", *map(repr, meta.gamma), repr(meta.radius),
+                              str(meta.box)])
+        with pytest.raises(DocumentError, match=f"line {at + 1}: projection {problem}"):
+            read_tiling("\n".join(lines).encode())
 
 
 class TestSvg:

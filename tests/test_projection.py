@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.distance import pdist
 
 from fivefold.exact import CycloPoint
@@ -92,6 +92,37 @@ class TestWindow:
         assert bigger.sum() > base.sum()
 
 
+def hull_window():
+    """The window as qhull builds it: the convex hull of the 32 projected
+    cube corners, as triangulated facets (two rows per rhombic face)."""
+    eq = ConvexHull(cube_vertex_projections()).equations
+    return Window(eq[:, :3].copy(), eq[:, 3].copy())
+
+
+class TestClosedFormWindow:
+    def test_faces_match_the_hull_facets(self):
+        hull = hull_window()
+        window = build_window()
+        assert (len(window.offsets), len(hull.offsets)) == (20, 40)
+        rows = np.hstack([window.normals, window.offsets[:, None]])
+        hull_rows = np.hstack([hull.normals, hull.offsets[:, None]])
+        gap = np.abs(rows[:, None, :] - hull_rows[None, :, :]).max(axis=2)
+        assert gap.min(axis=0).max() < 1e-12  # every hull row is a face
+        assert gap.min(axis=1).max() < 1e-12  # every face is a hull row
+
+    def test_masks_match_the_hull_window(self, enum6):
+        hull = hull_window()
+        window = build_window()
+        accepted = 0
+        chunks = np.array_split(enum6.internal, 64)  # cache-sized residual blocks
+        for gamma in criterion_11_path() + [GENERIC_GAMMA, symmetric_gamma()]:
+            mask = np.concatenate([window.shifted(gamma).contains(c) for c in chunks])
+            want = np.concatenate([hull.shifted(gamma).contains(c) for c in chunks])
+            assert np.array_equal(mask, want)
+            accepted += int(mask.sum())
+        assert accepted > 0
+
+
 class TestLatticeToCyclo:
     def test_basis_vectors(self):
         assert lattice_to_cyclo((1, 0, 0, 0, 0)) == CycloPoint(1, 0, 0, 0)
@@ -163,6 +194,13 @@ class TestGenerate:
             LatticeEnumeration(box=2, radius=-1.0)
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0])
+    def test_enumeration_needs_a_finite_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            LatticeEnumeration(box=2, radius=radius)
+
+
 def criterion_11_path():
     z10 = symmetric_gamma()
     z5 = (0.0, 0.0, z10[2] + 0.12)
@@ -232,6 +270,13 @@ class TestPrefilter:
                                        (0.0, 0.0, math.nan), (math.nan, 0.0, -1.0),
                                        (math.inf, 0.0, -1.0)])
     def test_non_finite_offsets_accept_nothing(self, enum4, gamma):
+        mask = enum4.accept(gamma)
+        assert not mask.any()
+        assert np.array_equal(mask, reference_accept(enum4, gamma))
+
+    @pytest.mark.parametrize("gamma", [(0.0, 0.0, 1e308), (0.0, 0.0, -1e308)])
+    def test_offsets_past_the_float_range_accept_nothing(self, enum4, gamma):
+        # sqrt(5) * gamma_z overflows to +-inf: no point is accepted, nothing raises
         mask = enum4.accept(gamma)
         assert not mask.any()
         assert np.array_equal(mask, reference_accept(enum4, gamma))
