@@ -60,6 +60,17 @@ def _parse_radius(text: str) -> float:
     return radius
 
 
+def _parse_scale(text: str) -> float:
+    try:
+        scale = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad scale {text!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(
+            f"scale must be finite and positive, got {text!r}")
+    return scale
+
+
 def _parse_overlay(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", required=True)
     p.add_argument("--atoms", action="store_true")
     p.add_argument("--overlay", type=_parse_overlay)
-    p.add_argument("--scale", type=float, default=100.0)
+    p.add_argument("--scale", type=_parse_scale, default=100.0)
     return parser
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import FORMAT_VERSION
-from .exact import CycloPoint, cross_ab, golden_sign, sq_norm_ab
+from .exact import CycloPoint
 from .grouping import CompositeKind, CompositeTiling
-from .triangles import Patch, Triangle, TriangleKind
+from .triangles import Patch, Triangle, TriangleKind, _shape_problem
 
 if TYPE_CHECKING:  # projection pulls in numpy
     from .projection import QuasiPoint
@@ -74,49 +75,50 @@ class TilingDocument:
     projection: ProjectionMeta | None = None
 
     def validate(self) -> None:
+        """Raise DocumentError for the first broken invariant.  A document
+        is immutable, so the outcome is decided once and replayed."""
+        problem = self._problem
+        if problem:
+            raise DocumentError(problem)
+
+    @cached_property
+    def _problem(self) -> str | None:
         if self.version != FORMAT_VERSION:
-            raise DocumentError(f"unsupported format version {self.version}")
+            return f"unsupported format version {self.version}"
         vertices = self.vertices
         if any(v >= w for v, w in zip(vertices, vertices[1:])):
-            raise DocumentError("vertices must be deduplicated and in "
-                                "lexicographic order")
+            return "vertices must be deduplicated and in lexicographic order"
         n = len(vertices)
         for t_index, t in enumerate(self.triangles):
             if t.kind not in ("A", "O"):
-                raise DocumentError(f"triangle {t_index}: unknown kind {t.kind!r}")
+                return f"triangle {t_index}: unknown kind {t.kind!r}"
             for idx in (t.apex, t.base0, t.base1):
                 if not 0 <= idx < n:
-                    raise DocumentError(
-                        f"triangle {t_index}: vertex index {idx} out of range")
+                    return f"triangle {t_index}: vertex index {idx} out of range"
             if t.chirality not in (-1, 1):
-                raise DocumentError(f"triangle {t_index}: chirality must be +-1")
+                return f"triangle {t_index}: chirality must be +-1"
             if t.parent is not None and not 0 <= t.parent < len(self.triangles):
                 # a parent indexes the previous generation, which is smaller
-                raise DocumentError(
-                    f"triangle {t_index}: parent index {t.parent} out of range")
+                return f"triangle {t_index}: parent index {t.parent} out of range"
             problem = _shape_problem(t.kind, t.chirality, vertices[t.apex],
                                      vertices[t.base0], vertices[t.base1])
             if problem:
-                raise DocumentError(f"triangle {t_index}: {problem}")
+                return f"triangle {t_index}: {problem}"
         if self.groups is not None:
             seen: set[int] = set()
             valid_kinds = {k.value for k in CompositeKind}
             for g_index, (kind, indices) in enumerate(self.groups):
                 if kind not in valid_kinds:
-                    raise DocumentError(f"group {g_index}: unknown kind {kind!r}")
+                    return f"group {g_index}: unknown kind {kind!r}"
                 for idx in indices:
                     if not 0 <= idx < len(self.triangles):
-                        raise DocumentError(
-                            f"group {g_index}: triangle index {idx} out of range")
+                        return f"group {g_index}: triangle index {idx} out of range"
                     if idx in seen:
-                        raise DocumentError(
-                            f"group {g_index}: triangle {idx} already grouped")
+                        return f"group {g_index}: triangle {idx} already grouped"
                     seen.add(idx)
         if self.generation < 0:
-            raise DocumentError("generation must be >= 0")
-        problem = self.projection and _projection_problem(self.projection)
-        if problem:
-            raise DocumentError(problem)
+            return "generation must be >= 0"
+        return self.projection and _projection_problem(self.projection)
 
 
 def _projection_problem(p: ProjectionMeta) -> str | None:
@@ -127,26 +129,6 @@ def _projection_problem(p: ProjectionMeta) -> str | None:
         return "projection radius must be finite and positive"
     if p.box < 1:
         return "projection box must be >= 1"
-    return None
-
-
-def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
-                   b: tuple[int, ...], c: tuple[int, ...]) -> str | None:
-    """What ``check_triangle`` would find wrong with the triangle (kind,
-    a, b, c) of this chirality, decided on the vertex tuples alone."""
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
-    w = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
-    if golden_sign(*cross_ab(u, w)) != chirality:
-        return "stored chirality contradicts geometry"
-    leg = sq_norm_ab(u)
-    if sq_norm_ab(w) != leg:
-        return "not isosceles about its apex"
-    x, y = sq_norm_ab((w[0] - u[0], w[1] - u[1], w[2] - u[2], w[3] - u[3]))
-    # tau^2 * (x + y*tau) = (x + y) + (x + 2y)*tau
-    if kind == "A" and leg != (x + y, x + 2 * y):
-        return "acute ratio broken: leg^2 != tau^2 * base^2"
-    if kind == "O" and (x, y) != (leg[0] + leg[1], leg[0] + 2 * leg[1]):
-        return "obtuse ratio broken: base^2 != tau^2 * leg^2"
     return None
 
 
@@ -310,10 +292,7 @@ def read_tiling(data: bytes) -> TilingDocument:
                          generation=generation, vertices=tuple(vertices),
                          triangles=tuple(triangles), groups=groups,
                          projection=projection)
-    try:
-        doc.validate()
-    except DocumentError as e:
-        raise DocumentError(str(e)) from None
+    doc.validate()
     return doc
 
 

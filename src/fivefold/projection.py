@@ -208,6 +208,9 @@ class LatticeEnumeration:
         self._depth = (float(corners[:, 2].min()), float(corners[:, 2].max()))
         reach = float(np.sqrt((corners[:, :2] ** 2).sum(axis=1)).max()) + STAR_GUARD
         self._reach_sq = reach * reach
+        # a star-map image sum_k z_k perp[:, k] has |z_k| <= box, so an
+        # in-plane offset farther out than this has no image within reach
+        self._far = reach + box * float(np.linalg.norm(self.basis.perp, axis=0).sum())
 
     def accept(self, gamma: Sequence[float]) -> np.ndarray:
         """Mask of the rows strictly inside the gamma-shifted window.  Rows
@@ -220,6 +223,9 @@ class LatticeEnumeration:
         # a non-finite gz, or one so large that its band edge overflows, puts
         # the window past every point: the window test accepts nothing there
         if not (math.isfinite(lo) and math.isfinite(hi)):
+            return mask
+        # nor does one with no star-map image in reach, where dx * dx may overflow
+        if not math.hypot(gx, gy) <= self._far:
             return mask
         start, stop = np.searchsorted(self._sums, (math.floor(lo) - 1, math.ceil(hi) + 2))
         dx = self._star_x[start:stop] - gx

@@ -20,7 +20,7 @@ tau^2, the obtuse base tau^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable
@@ -32,8 +32,11 @@ from .exact import (
     ZERO,
     CycloPoint,
     GoldenInt,
+    cross_ab,
     cross_sign,
     dot2,
+    golden_sign,
+    sq_norm_ab,
 )
 
 __all__ = [
@@ -55,8 +58,6 @@ __all__ = [
     "patch_area",
 ]
 
-TAU = GoldenInt(0, 1)
-TAU2 = GoldenInt(1, 1)
 INV_TAU = GoldenInt(-1, 1)  # 1/tau = tau - 1
 
 
@@ -77,10 +78,8 @@ class Triangle:
     @classmethod
     def make(cls, kind: TriangleKind, apex: CycloPoint, base0: CycloPoint,
              base1: CycloPoint, parent: int | None = None) -> "Triangle":
-        chir = cross_sign(base0 - apex, base1 - apex)
-        if chir == 0:
-            raise ValueError("degenerate triangle: collinear vertices")
-        t = cls(kind, apex, base0, base1, chir, parent)
+        t = cls(kind, apex, base0, base1, cross_sign(base0 - apex, base1 - apex),
+                parent)
         problem = check_triangle(t)
         if problem:
             raise ValueError(problem)
@@ -115,24 +114,29 @@ def check_triangle(t: Triangle) -> str | None:
     """Return a description of the first violated invariant, or None."""
     if t.apex == t.base0 or t.apex == t.base1 or t.base0 == t.base1:
         return f"triangle has repeated vertices: {t.points()}"
-    u = t.base0 - t.apex
-    w = t.base1 - t.apex
-    leg0 = u.sq_norm()
-    leg1 = w.sq_norm()
-    if leg0 != leg1:
-        return f"triangle is not isoceles about its apex: {leg0} != {leg1}"
-    base = (w - u).sq_norm()
-    if t.kind is TriangleKind.ACUTE:
-        if leg0 != base * TAU2:
-            return f"acute ratio broken: leg^2 {leg0} != tau^2 * base^2 {base * TAU2}"
-    else:
-        if base != leg0 * TAU2:
-            return f"obtuse ratio broken: base^2 {base} != tau^2 * leg^2 {leg0 * TAU2}"
-    chir = cross_sign(u, w)
-    if chir == 0:
-        return f"degenerate triangle: {t.points()}"
-    if chir != t.chirality:
-        return f"stored chirality {t.chirality} contradicts geometry ({chir})"
+    return _shape_problem(t.kind.value, t.chirality, t.apex.coords(),
+                          t.base0.coords(), t.base1.coords())
+
+
+def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
+                   b: tuple[int, ...], c: tuple[int, ...]) -> str | None:
+    """What is wrong with the shape of the triangle of kind "A" or "O"
+    with apex a, bases b, c (vertex coordinates) and this chirality:
+    the one shape rule behind ``check_triangle`` and the document reader."""
+    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
+    w = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
+    sign = golden_sign(*cross_ab(u, w))
+    if sign != chirality:
+        return f"stored chirality {chirality} contradicts geometry ({sign})"
+    leg = sq_norm_ab(u)
+    if sq_norm_ab(w) != leg:
+        return "not isosceles about its apex"
+    x, y = sq_norm_ab((w[0] - u[0], w[1] - u[1], w[2] - u[2], w[3] - u[3]))
+    # tau^2 * (x + y*tau) = (x + y) + (x + 2y)*tau
+    if kind == "A" and leg != (x + y, x + 2 * y):
+        return "acute ratio broken: leg^2 != tau^2 * base^2"
+    if kind == "O" and (x, y) != (leg[0] + leg[1], leg[0] + 2 * leg[1]):
+        return "obtuse ratio broken: base^2 != tau^2 * leg^2"
     return None
 
 
@@ -148,26 +152,28 @@ def deflate_triangle(t: Triangle) -> list[Triangle]:
     problem = check_triangle(t)
     if problem:
         raise ValueError(problem)
+    return _children(t, t.parent)
+
+
+def _children(t: Triangle, parent: int | None) -> list[Triangle]:
+    """The children of a valid triangle, each with the given parent.
+
+    Each split point lies on a parent edge, so each child keeps (+1) or
+    mirrors (-1) its parent's corner order, a sign fixed by its slot: the
+    child's chirality is the parent's times that sign.
+    """
+    s = t.chirality
     if t.kind is TriangleKind.ACUTE:
         a, b, c = t.apex, t.base0, t.base1
         p = a + (b - a) * INV_TAU
-        return [
-            Triangle(TriangleKind.ACUTE, c, p, b,
-                     cross_sign(p - c, b - c), t.parent),
-            Triangle(TriangleKind.OBTUSE, p, c, a,
-                     cross_sign(c - p, a - p), t.parent),
-        ]
+        return [Triangle(TriangleKind.ACUTE, c, p, b, s, parent),
+                Triangle(TriangleKind.OBTUSE, p, c, a, s, parent)]
     g, a, b = t.apex, t.base0, t.base1
     q = a + (g - a) * INV_TAU
     r = a + (b - a) * INV_TAU
-    return [
-        Triangle(TriangleKind.OBTUSE, r, b, g,
-                 cross_sign(b - r, g - r), t.parent),
-        Triangle(TriangleKind.OBTUSE, q, r, a,
-                 cross_sign(r - q, a - q), t.parent),
-        Triangle(TriangleKind.ACUTE, r, q, g,
-                 cross_sign(q - r, g - r), t.parent),
-    ]
+    return [Triangle(TriangleKind.OBTUSE, r, b, g, s, parent),
+            Triangle(TriangleKind.OBTUSE, q, r, a, -s, parent),
+            Triangle(TriangleKind.ACUTE, r, q, g, -s, parent)]
 
 
 @dataclass(frozen=True)
@@ -256,39 +262,28 @@ def seed_patch(name: str) -> Patch:
     raise ValueError(f"unknown seed {name!r}; expected sun, wheel, acute or obtuse")
 
 
-def _deflate_once(patch: Patch, jobs: int = 1) -> Patch:
-    tris = patch.triangles
-
-    def expand(chunk: tuple[int, int]) -> list[Triangle]:
-        lo, hi = chunk
-        out = []
-        for idx in range(lo, hi):
-            for child in deflate_triangle(tris[idx]):
-                out.append(replace(child, parent=idx))
-        return out
-
-    if jobs <= 1 or len(tris) < 256:
-        children = expand((0, len(tris)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        step = (len(tris) + jobs - 1) // jobs
-        chunks = [(lo, min(lo + step, len(tris))) for lo in range(0, len(tris), step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(expand, chunks))
-        # ordered concatenation keeps the result independent of worker count
-        children = [t for part in parts for t in part]
-    return Patch(tuple(children), generation=patch.generation + 1,
-                 seed=patch.seed, ancestor=patch)
-
-
 def deflate_patch(patch: Patch, steps: int, jobs: int = 1) -> Patch:
-    """Apply `steps` rounds of deflation, recording the ancestry chain."""
+    """Apply `steps` rounds of deflation, recording the ancestry chain.
+
+    The input triangles are checked once; a bad one raises ValueError.
+    Later generations are derived, not re-checked: a child's chirality is
+    its parent's times a fixed sign per slot, (+1, +1) for the children of
+    an acute triangle and (+1, -1, -1) for those of an obtuse one, and its
+    ``parent`` is the index of the triangle it came from.  `jobs` is
+    accepted and ignored; deflation runs serially.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    for t in patch.triangles:
+        problem = check_triangle(t)
+        if problem:
+            raise ValueError(problem)
     out = patch
     for _ in range(steps):
-        out = _deflate_once(out, jobs=jobs)
+        children = tuple(child for i, t in enumerate(out.triangles)
+                         for child in _children(t, i))
+        out = Patch(children, generation=out.generation + 1, seed=out.seed,
+                    ancestor=out)
     return out
 
 

@@ -190,6 +190,17 @@ class TestUsage:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-5", "0"])
+    def test_bad_render_scale_exits_2(self, tmp_path, capsys, scale):
+        tiling = tmp_path / "s1.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "1", "--out", str(tiling))
+        svg = tmp_path / "s1.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(tiling), "--svg", str(svg), "--scale", scale])
+        assert exc.value.code == 2
+        assert "scale" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_missing_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

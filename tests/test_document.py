@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fivefold import document
 from fivefold.document import (
     DocTriangle,
     DocumentError,
@@ -220,6 +221,37 @@ class TestValidation:
                              triangles=(DocTriangle("A", 0, 0, 5, 1),))
         with pytest.raises(DocumentError):
             write_tiling(bad)
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def shape_calls(self, monkeypatch):
+        calls = []
+        rule = document._shape_problem
+
+        def counting(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(document, "_shape_problem", counting)
+        return calls
+
+    def test_read_to_patch_to_svg_checks_each_shape_once(self, shape_calls):
+        data = write_tiling(patch_to_document(deflate_patch(seed_sun(), 3)))
+        shape_calls.clear()
+        doc = read_tiling(data)
+        document_to_patch(doc)
+        render_svg(doc)
+        assert len(shape_calls) == len(doc.triangles) == 130
+
+    def test_invalid_document_refused_by_every_caller(self, shape_calls):
+        doc = TilingDocument(vertices=((0, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0)),
+                             triangles=(DocTriangle("A", 0, 2, 1, 1),))
+        for call in (TilingDocument.validate, write_tiling, document_to_patch,
+                     render_svg):
+            with pytest.raises(DocumentError, match="triangle 0: not isosceles"):
+                call(doc)
+        assert len(shape_calls) == 1
 
 
 GOOD_PROJECTION = ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,7 +215,9 @@ def criterion_11_path():
 
 def reference_accept(enum, gamma):
     """The window test on every enumerated point, without prefilters."""
-    return enum.window.shifted(gamma).contains(enum.internal)
+    window = enum.window.shifted(gamma)
+    chunks = np.array_split(enum.internal, 64)  # cache-sized residual blocks
+    return np.concatenate([window.contains(c) for c in chunks])
 
 
 class TestPrefilter:
@@ -280,6 +283,14 @@ class TestPrefilter:
         mask = enum4.accept(gamma)
         assert not mask.any()
         assert np.array_equal(mask, reference_accept(enum4, gamma))
+
+    @pytest.mark.parametrize("gamma", [(1e308, 0.0, -1.0), (0.0, -1e308, -1.0),
+                                       (1e200, 1e200, -1.0)])
+    def test_far_in_plane_offsets_accept_nothing_without_warning(self, enum4, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = enum4.accept(gamma)
+        assert not mask.any()
 
     def test_window_test_sees_a_small_fraction(self, enum6, monkeypatch):
         seen = []

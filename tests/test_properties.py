@@ -5,11 +5,13 @@ the reader's triangle shape check against ``check_triangle``, and the
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fivefold.document import (
+    DocTriangle,
     DocumentError,
     ProjectionMeta,
+    TilingDocument,
     _shape_problem,
     read_tiling,
     tiling_to_document,
@@ -202,6 +204,29 @@ def test_reader_shape_check_agrees_with_check_triangle(t, kind, chirality,
                      CycloPoint(*c), chirality)
     assert ((_shape_problem(kind, chirality, a, b, c) is None)
             == (check_triangle(moved) is None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES[1].triangles), st.sampled_from("AO"),
+       st.sampled_from([1, -1]), st.integers(0, 2), st.integers(0, 3),
+       st.integers(-2, 2))
+def test_check_triangle_and_validate_give_the_same_message(t, kind, chirality,
+                                                           vertex, axis, delta):
+    points = [list(p.coords()) for p in t.points()]
+    points[vertex][axis] += delta
+    corners = [tuple(p) for p in points]
+    assume(len(set(corners)) == 3)  # a document cannot repeat a vertex
+    moved = Triangle(TriangleKind(kind), *(CycloPoint(*c) for c in corners), chirality)
+    vertices = tuple(sorted(corners))
+    doc = TilingDocument(vertices=vertices, triangles=(
+        DocTriangle(kind, *(vertices.index(c) for c in corners), chirality),))
+    try:
+        doc.validate()
+        reported = None
+    except DocumentError as e:
+        reported = str(e)
+    problem = check_triangle(moved)
+    assert reported == (problem and f"triangle 0: {problem}")
 
 
 # ----------------------------------------------------- reader canonical form

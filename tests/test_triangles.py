@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, GoldenInt
+from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, GoldenInt, cross_sign
 from fivefold.triangles import (
     Patch,
     Triangle,
@@ -173,6 +173,22 @@ class TestDeflatePatch:
         serial = deflate_patch(seed_sun(), 3, jobs=1)
         threaded = deflate_patch(seed_sun(), 3, jobs=4)
         assert serial.triangles == threaded.triangles
+
+    @pytest.mark.parametrize("seed", ["sun", "wheel", "acute", "obtuse"])
+    def test_slot_signs_match_geometry(self, seed):
+        # children inherit chirality through a fixed sign per slot, never
+        # recomputed: pin that table against the corners at every generation
+        patch = deflate_patch(seed_patch(seed), 6)
+        while patch.ancestor is not None:
+            for t in patch.triangles:
+                assert t.chirality == cross_sign(t.base0 - t.apex, t.base1 - t.apex)
+            patch = patch.ancestor
+
+    def test_wrong_input_chirality_rejected(self):
+        t = canonical_obtuse()
+        bad = Triangle(t.kind, t.apex, t.base0, t.base1, -t.chirality)
+        with pytest.raises(ValueError, match="stored chirality"):
+            deflate_patch(Patch((bad,)), 1)
 
     def test_rotation_equivariance(self):
         sun = seed_sun()
