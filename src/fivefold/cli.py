@@ -24,7 +24,7 @@ from .document import (
 from .grouping import POLICIES, count_tiles, detect_composites, glue_rhombs, verify_grouping
 from .stats import alloy_check, ratio_report
 from .svg import RenderOptions, render_svg
-from .triangles import deflate_patch, seed_patch, validate_patch
+from .triangles import deflate_patch, seed_patch, validate_disk
 from .weyl import (
     check_reflection_conjugacy,
     check_root_axioms,
@@ -76,9 +76,12 @@ def _parse_overlay(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("overlay must be 'tau_exponent,rot72_steps'")
     try:
-        return int(parts[0]), int(parts[1])
+        k, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad overlay component in {text!r}")
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"overlay tau exponent must be >= 0, got {k}")
+    return k, m
 
 
 def _parse_alloy(text: str) -> tuple[int, int]:
@@ -183,7 +186,7 @@ def _cmd_verify(args) -> int:
     with open(args.file, "rb") as f:
         doc = read_tiling(f.read())
     patch = document_to_patch(doc)
-    report = validate_patch(patch)
+    report = validate_disk(patch)  # read_tiling has proven every shape
     if not report.ok:
         print(f"INVALID: {report.first()}", file=sys.stderr)
         return 1

@@ -6,9 +6,12 @@ reading them back is lossless.  The writer validates and canonicalizes
 nothing silently: a document must already satisfy the invariants (sorted
 deduplicated vertices, in-range indices, geometry-consistent chirality) or
 writing refuses, and the reader rejects violations with the line number.
-The reader also accepts only canonical spellings: each line must be the one
-the writer emits for the values read from it, so write(read(data)) == data
-for every document it accepts.
+The reader also accepts only canonical spellings: it parses the document,
+then compares its input line by line with the writer's output for the
+values read, so write(read(data)) == data for every document it accepts.
+When a file has several faults, the structural ones (a count, a token
+count, an integer, a projection value) are reported before a
+non-canonical spelling.
 """
 
 from __future__ import annotations
@@ -134,43 +137,51 @@ def _projection_problem(p: ProjectionMeta) -> str | None:
 
 def write_tiling(doc: TilingDocument) -> bytes:
     doc.validate()
-    lines = [f"qtile {doc.version}"]
-    lines.append(f"unit {doc.unit_note}")
-    lines.append(f"seed {doc.seed}")
-    lines.append(f"generation {doc.generation}")
-    lines.append(f"vertices {len(doc.vertices)}")
-    lines.extend(_vertex_line(v) for v in doc.vertices)
-    lines.append(f"triangles {len(doc.triangles)}")
-    lines.extend(_triangle_line(t) for t in doc.triangles)
+    return ("\n".join(_lines(doc)) + "\n").encode("ascii")
+
+
+def _lines(doc: TilingDocument):
+    """The document's text line by line: the one formatter, behind the
+    writer and the reader's proof of canonical form."""
+    yield f"qtile {doc.version}"
+    yield f"unit {doc.unit_note}"
+    yield f"seed {doc.seed}"
+    yield f"generation {doc.generation}"
+    yield f"vertices {len(doc.vertices)}"
+    for v in doc.vertices:
+        yield " ".join(map(str, v))
+    yield f"triangles {len(doc.triangles)}"
+    for t in doc.triangles:
+        parent = -1 if t.parent is None else t.parent
+        yield f"{t.kind} {t.apex} {t.base0} {t.base1} {t.chirality:+d} {parent}"
     if doc.groups is not None:
-        lines.append(f"groups {len(doc.groups)}")
-        lines.extend(_group_line(kind, indices) for kind, indices in doc.groups)
-    if doc.projection is not None:
-        lines.append(_projection_line(doc.projection))
-    lines.append("end")
-    return ("\n".join(lines) + "\n").encode("ascii")
+        yield f"groups {len(doc.groups)}"
+        for kind, indices in doc.groups:
+            yield kind + " " + " ".join(map(str, indices))
+    p = doc.projection
+    if p is not None:
+        yield "projection " + " ".join(
+            [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
+             repr(p.radius), str(p.box)])
+    yield "end"
 
 
-# One formatter per line kind, shared by the writer and the reader's
-# canonical-form check.
+# Parsers of one block line's tokens.  A wrong token count raises
+# TypeError, a bad integer ValueError.
 
-def _vertex_line(v: tuple[int, ...]) -> str:
-    return " ".join(str(c) for c in v)
-
-
-def _triangle_line(t: DocTriangle) -> str:
-    parent = -1 if t.parent is None else t.parent
-    return f"{t.kind} {t.apex} {t.base0} {t.base1} {t.chirality:+d} {parent}"
+def _vertex(a: str, b: str, c: str, d: str) -> tuple[int, int, int, int]:
+    return int(a), int(b), int(c), int(d)
 
 
-def _group_line(kind: str, indices: tuple[int, ...]) -> str:
-    return kind + " " + " ".join(str(i) for i in indices)
+def _triangle(kind: str, apex: str, base0: str, base1: str, chirality: str,
+              parent: str) -> DocTriangle:
+    p = int(parent)
+    return DocTriangle(kind, int(apex), int(base0), int(base1), int(chirality),
+                       None if p == -1 else p)
 
 
-def _projection_line(p: ProjectionMeta) -> str:
-    return "projection " + " ".join(
-        [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
-         repr(p.radius), str(p.box)])
+def _group(kind: str, *indices: str) -> tuple[str, tuple[int, ...]]:
+    return kind, tuple(map(int, indices))
 
 
 class _Reader:
@@ -192,11 +203,6 @@ class _Reader:
     def fail(self, message: str):
         raise DocumentError(f"line {self.pos}: {message}")
 
-    def canonical(self, line: str, expected: str) -> None:
-        """Accept only the line the writer emits for the parsed values."""
-        if line != expected:
-            self.fail(f"not in canonical form: expected {expected!r}, got {line!r}")
-
     def count(self, line: str, name: str) -> int:
         parts = line.split()
         if len(parts) != 2 or parts[0] != name:
@@ -204,69 +210,52 @@ class _Reader:
         n = _parse_int(self, parts[1])
         if n < 0:
             self.fail(f"{name} must be >= 0")
-        self.canonical(line, f"{name} {n}")
         return n
+
+    def block(self, n: int, parse, ints_from: int, malformed: str) -> tuple:
+        """The values of the next n lines, each parsed by parse from its
+        tokens, of which the ones from ints_from on are integers."""
+        values = []
+        for _ in range(n):
+            parts = self.next().split()
+            try:
+                values.append(parse(*parts))
+            except TypeError:
+                self.fail(malformed)
+            except ValueError:
+                for token in parts[ints_from:]:
+                    _parse_int(self, token)
+        return tuple(values)
 
 
 def read_tiling(data: bytes) -> TilingDocument:
     r = _Reader(data)
-    line = r.next()
-    header = line.split()
+    header = r.next().split()
     if len(header) != 2 or header[0] != "qtile":
         r.fail("expected 'qtile <version>' header")
     version = _parse_int(r, header[1])
     if version != FORMAT_VERSION:
         r.fail(f"unsupported format version {version}")
-    r.canonical(line, f"qtile {version}")
 
     unit_line = r.next()
     if not unit_line.startswith("unit "):
         r.fail("expected 'unit <note>'")
-    unit_note = unit_line[5:]
 
     seed_line = r.next()
     if not seed_line.startswith("seed "):
         r.fail("expected 'seed <name>'")
-    seed = seed_line[5:]
 
     generation = r.count(r.next(), "generation")
-
-    vertices = []
-    for _ in range(r.count(r.next(), "vertices")):
-        line = r.next()
-        parts = line.split()
-        if len(parts) != 4:
-            r.fail("vertex must have 4 integer coordinates")
-        v = tuple(_parse_int(r, p) for p in parts)
-        r.canonical(line, _vertex_line(v))
-        vertices.append(v)
-
-    triangles = []
-    for _ in range(r.count(r.next(), "triangles")):
-        line = r.next()
-        parts = line.split()
-        if len(parts) != 6:
-            r.fail("triangle must be 'kind apex base0 base1 chirality parent'")
-        apex, base0, base1, chirality, parent = (_parse_int(r, p) for p in parts[1:])
-        t = DocTriangle(parts[0], apex, base0, base1, chirality,
-                        None if parent == -1 else parent)
-        r.canonical(line, _triangle_line(t))
-        triangles.append(t)
+    vertices = r.block(r.count(r.next(), "vertices"), _vertex, 0,
+                       "vertex must have 4 integer coordinates")
+    triangles = r.block(r.count(r.next(), "triangles"), _triangle, 1,
+                        "triangle must be 'kind apex base0 base1 chirality parent'")
 
     groups = None
     projection = None
     line = r.next()
     if line.startswith("groups"):
-        groups = []
-        for _ in range(r.count(line, "groups")):
-            line = r.next()
-            parts = line.split()
-            if not parts:
-                r.fail("empty group line")
-            group = (parts[0], tuple(_parse_int(r, p) for p in parts[1:]))
-            r.canonical(line, _group_line(*group))
-            groups.append(group)
-        groups = tuple(groups)
+        groups = r.block(r.count(line, "groups"), _group, 1, "empty group line")
         line = r.next()
     if line.startswith("projection "):
         parts = line.split()
@@ -278,7 +267,6 @@ def read_tiling(data: bytes) -> TilingDocument:
         except ValueError:
             r.fail("bad float in projection metadata")
         projection = ProjectionMeta(gamma, radius, _parse_int(r, parts[5]))
-        r.canonical(line, _projection_line(projection))
         problem = _projection_problem(projection)
         if problem:
             r.fail(problem)
@@ -288,10 +276,14 @@ def read_tiling(data: bytes) -> TilingDocument:
     if r.lines[r.pos:] != [""]:
         r.fail("'end' must be the last line, ending in one newline")
 
-    doc = TilingDocument(version=version, unit_note=unit_note, seed=seed,
-                         generation=generation, vertices=tuple(vertices),
-                         triangles=tuple(triangles), groups=groups,
+    doc = TilingDocument(version=version, unit_note=unit_line[5:],
+                         seed=seed_line[5:], generation=generation,
+                         vertices=vertices, triangles=triangles, groups=groups,
                          projection=projection)
+    for number, (expected, line) in enumerate(zip(_lines(doc), r.lines), 1):
+        if line != expected:
+            raise DocumentError(f"line {number}: not in canonical form: "
+                                f"expected {expected!r}, got {line!r}")
     doc.validate()
     return doc
 

@@ -8,10 +8,12 @@ polygon in its kind's palette colour, otherwise one polygon per triangle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .exact import EPS, TAU_C, CycloPoint
-from .document import TilingDocument
+from .document import DocumentError, TilingDocument
 
 __all__ = ["RenderOptions", "render_svg", "PALETTE"]
 
@@ -47,45 +49,54 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _group_outline(doc: TilingDocument, indices) -> list[list[int]]:
-    """Boundary loops of a group as vertex-index cycles.
+def _group_outline(doc: TilingDocument, g: int) -> list[list[int]]:
+    """Boundary loops of group g as vertex-index cycles.
 
     Each triangle contributes its directed boundary (counterclockwise by
     chirality); interior edges cancel in pairs, the rest chain into loops.
+    They fail to close only where triangles lie on the same side of an edge.
     """
     directed: set[tuple[int, int]] = set()
-    for i in indices:
+    for i in doc.groups[g][1]:
         t = doc.triangles[i]
         cycle = (t.apex, t.base0, t.base1) if t.chirality == 1 else (
             t.apex, t.base1, t.base0)
         for k in range(3):
             directed.add((cycle[k], cycle[(k + 1) % 3]))
     boundary = {(a, b) for (a, b) in directed if (b, a) not in directed}
-    adjacency: dict[int, list[int]] = {}
+    # Each walk leaves a vertex by its smallest unused boundary edge.
+    outgoing: dict[int, list[int]] = {}
     for a, b in sorted(boundary):
-        adjacency.setdefault(a, []).append(b)
+        outgoing.setdefault(a, []).append(b)
     loops = []
-    used: set[tuple[int, int]] = set()
-    for a, b in sorted(boundary):
-        if (a, b) in used:
-            continue
-        loop = [a]
-        cur, nxt = a, b
-        while True:
-            used.add((cur, nxt))
-            cur = nxt
-            if cur == a:
-                break
-            loop.append(cur)
-            nxt = next(v for v in adjacency[cur] if (cur, v) not in used)
-        loops.append(loop)
+    for a, ends in outgoing.items():
+        while ends:
+            loop = [a]
+            cur = ends.pop(0)
+            while cur != a:
+                if not outgoing.get(cur):
+                    raise DocumentError(f"group {g}: outline does not close; "
+                                        f"its triangles overlap")
+                loop.append(cur)
+                cur = outgoing[cur].pop(0)
+            loops.append(loop)
     return loops
+
+
+_BEYOND = "SVG coordinates beyond the float range"
+
+
+def _embed(points: Iterable[CycloPoint]) -> list[tuple[float, float]]:
+    try:
+        return [p.embed() for p in points]
+    except OverflowError:  # an integer coordinate too large for a float
+        raise ValueError(_BEYOND) from None
 
 
 def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) -> bytes:
     doc.validate()
     scale = options.scale
-    embedded = [CycloPoint(*v).embed() for v in doc.vertices]
+    embedded = _embed(CycloPoint(*v) for v in doc.vertices)
     if embedded:
         xs = [p[0] for p in embedded]
         ys = [p[1] for p in embedded]
@@ -96,61 +107,44 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
     width = (hi_x - lo_x) * scale
     height = (hi_y - lo_y) * scale
 
-    def to_svg(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - lo_x) * scale, (hi_y - p[1]) * scale)
+    def corners(points) -> list[str]:
+        """Each point's "x,y" in SVG coordinates, formatted once."""
+        xy = [((x - lo_x) * scale, (hi_y - y) * scale) for x, y in points]
+        if not all(math.isfinite(c) for p in xy for c in p):
+            raise ValueError(_BEYOND)
+        return [f"{_fmt(x)},{_fmt(y)}" for x, y in xy]
 
+    if doc.groups is not None:
+        outlines = [(PALETTE.get(kind, "#cccccc"), loop)
+                    for g, (kind, _) in enumerate(doc.groups)
+                    for loop in _group_outline(doc, g)]
+    else:
+        outlines = [(PALETTE[t.kind], (t.apex, t.base0, t.base1))
+                    for t in doc.triangles]
+    fill = corners(embedded)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
     ]
-
-    def polygon(point_list, fill, stroke=_EDGE, stroke_width=1.0, fill_opacity=None):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in point_list)
-        opacity = (f' fill-opacity="{_fmt(fill_opacity)}"'
-                   if fill_opacity is not None else "")
-        parts.append(f'<polygon points="{coords}" fill="{fill}"{opacity} '
-                     f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>\n')
-
-    if doc.groups is not None:
-        for kind, indices in doc.groups:
-            fill = PALETTE.get(kind, "#cccccc")
-            for loop in _group_outline(doc, indices):
-                polygon([to_svg(embedded[i]) for i in loop], fill)
-    else:
-        for t in doc.triangles:
-            fill = PALETTE[t.kind]
-            pts = [to_svg(embedded[i]) for i in (t.apex, t.base0, t.base1)]
-            polygon(pts, fill)
+    for colour, loop in outlines:
+        parts.append(f'<polygon points="{" ".join(fill[i] for i in loop)}" '
+                     f'fill="{colour}" stroke="{_EDGE}" stroke-width="1.000000"/>\n')
 
     if options.overlay is not None:
         k, m = options.overlay
         factor = TAU_C ** k * EPS ** (m % 5)
-        mapped = [(CycloPoint(*v) * factor).embed() for v in doc.vertices]
-        if doc.groups is not None:
-            for kind, indices in doc.groups:
-                for loop in _group_outline(doc, indices):
-                    coords = " ".join(
-                        f"{_fmt(x)},{_fmt(y)}"
-                        for x, y in (to_svg(mapped[i]) for i in loop))
-                    parts.append(f'<polygon points="{coords}" fill="none" '
-                                 f'stroke="{_OVERLAY}" stroke-width="2.000000"/>\n')
-        else:
-            for t in doc.triangles:
-                coords = " ".join(
-                    f"{_fmt(x)},{_fmt(y)}"
-                    for x, y in (to_svg(mapped[i])
-                                 for i in (t.apex, t.base0, t.base1)))
-                parts.append(f'<polygon points="{coords}" fill="none" '
-                             f'stroke="{_OVERLAY}" stroke-width="2.000000"/>\n')
+        overlay = corners(_embed(CycloPoint(*v) * factor for v in doc.vertices))
+        for _, loop in outlines:
+            parts.append(f'<polygon points="{" ".join(overlay[i] for i in loop)}" '
+                         f'fill="none" stroke="{_OVERLAY}" stroke-width="2.000000"/>\n')
 
     if options.atoms:
-        radius = 0.06 * scale
-        for p in embedded:
-            x, y = to_svg(p)
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                         f'r="{_fmt(radius)}" fill="{_ATOM}"/>\n')
+        radius = _fmt(0.06 * scale)
+        for corner in fill:
+            x, y = corner.split(",")
+            parts.append(f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{_ATOM}"/>\n')
 
     parts.append("</svg>\n")
     return "".join(parts).encode("ascii")

@@ -55,6 +55,7 @@ __all__ = [
     "homothety_rotation",
     "symmetry_order",
     "validate_patch",
+    "validate_disk",
     "patch_area",
 ]
 
@@ -396,14 +397,19 @@ def validate_patch(patch: Patch) -> PatchReport:
     the first pair of boundary edges that break 8, named as an overlap of
     their triangles.  Only the boundary edges are compared pairwise.
     """
-    tris = patch.triangles
-    if not tris:
-        return PatchReport(True)
-    for i, t in enumerate(tris):
+    for i, t in enumerate(patch.triangles):
         msg = check_triangle(t)
         if msg:
             return PatchReport(False, (f"triangle {i}: {msg}",))
+    return validate_disk(patch)
 
+
+def validate_disk(patch: Patch) -> PatchReport:
+    """Conditions 2-8 of ``validate_patch``, for a patch whose triangles
+    are known to hold condition 1, such as one read from a document."""
+    tris = patch.triangles
+    if not tris:
+        return PatchReport(True)
     # Number the vertices in order of first appearance, so that the maps
     # below hash small integers rather than points.
     index: dict[CycloPoint, int] = {}

@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 import fivefold
+from fivefold import document, triangles
 from fivefold.cli import main
+from fivefold.document import patch_to_document, tiling_to_document, write_tiling
+from fivefold.grouping import CompositeKind, CompositeTiling, Group
+from fivefold.triangles import Patch, canonical_acute, canonical_obtuse, homothety_rotation
 
 
 def run(capsys, *argv):
@@ -134,6 +138,60 @@ class TestMalformedInput:
         assert not any(tmp_path.glob("out.*"))
 
 
+class TestRenderRefuses:
+    def test_overlapping_group_exits_1(self, tmp_path, capsys):
+        # both triangles lie on the same side of their shared edge 0 -> tau
+        tiling = CompositeTiling(Patch((canonical_acute(), canonical_obtuse())),
+                                 (Group(CompositeKind.THIN_RHOMB, (0, 1)),))
+        path = tmp_path / "overlap.qtile"
+        path.write_bytes(write_tiling(tiling_to_document(tiling)))
+        svg = tmp_path / "overlap.svg"
+        code, _, err = run(capsys, "render", str(path), "--svg", str(svg))
+        assert code == 1
+        assert "error: group 0: outline does not close" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("exponent", ["1470", "1476"])
+    def test_overlay_beyond_float_range_exits_1(self, tmp_path, capsys, exponent):
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        svg = tmp_path / "s2.svg"
+        code, _, err = run(capsys, "render", str(tiling), "--svg", str(svg),
+                           "--overlay", f"{exponent},0")
+        assert code == 1
+        assert "error: SVG coordinates beyond the float range" in err
+        assert not svg.exists()
+
+    def test_vertices_beyond_float_range_exit_1(self, tmp_path, capsys):
+        patch = homothety_rotation(Patch((canonical_acute(),)), 1500, 0)
+        path = tmp_path / "far.qtile"
+        path.write_bytes(write_tiling(patch_to_document(patch)))
+        svg = tmp_path / "far.svg"
+        code, _, err = run(capsys, "render", str(path), "--svg", str(svg))
+        assert code == 1
+        assert "error: SVG coordinates beyond the float range" in err
+        assert not svg.exists()
+
+
+class TestValidateOnce:
+    def test_verify_checks_each_shape_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        rule = triangles._shape_problem
+
+        def counting(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(triangles, "_shape_problem", counting)
+        monkeypatch.setattr(document, "_shape_problem", counting)
+        tiling = tmp_path / "s3.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "3", "--out", str(tiling))
+        calls.clear()
+        code, _, err = run(capsys, "verify", str(tiling))
+        assert code == 0 and "ok: 130 triangles" in err
+        assert len(calls) == 130
+
+
 class TestStats:
     def test_alloy_line(self, capsys):
         code, out, _ = run(capsys, "stats", "--alloy", "86:14")
@@ -199,6 +257,16 @@ class TestUsage:
             main(["render", str(tiling), "--svg", str(svg), "--scale", scale])
         assert exc.value.code == 2
         assert "scale" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_negative_overlay_exponent_exits_2(self, tmp_path, capsys):
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        svg = tmp_path / "s2.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(tiling), "--svg", str(svg), "--overlay=-1,0"])
+        assert exc.value.code == 2
+        assert "overlay tau exponent must be >= 0" in capsys.readouterr().err
         assert not svg.exists()
 
     def test_missing_command_exits_2(self, capsys):

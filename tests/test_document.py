@@ -223,6 +223,61 @@ class TestValidation:
             write_tiling(bad)
 
 
+class TestLineNumbers:
+    """A fault inside a counted block is named with its message and line."""
+
+    @pytest.fixture(scope="class")
+    def sun1(self):
+        return write_tiling(patch_to_document(deflate_patch(seed_sun(), 1))).decode()
+
+    @staticmethod
+    def rejected(text, number, old, new):
+        lines = text.split("\n")
+        assert lines[number - 1] == old
+        lines[number - 1] = new
+        with pytest.raises(DocumentError) as e:
+            read_tiling("\n".join(lines).encode())
+        return str(e.value)
+
+    def test_middle_vertex_with_three_tokens(self, sun1):
+        assert sun1.split("\n")[4] == "vertices 16"
+        assert (self.rejected(sun1, 14, "0 0 1 0", "0 0 1")
+                == "line 14: vertex must have 4 integer coordinates")
+
+    def test_middle_triangle_with_non_integer_token(self, sun1):
+        assert sun1.split("\n")[21] == "triangles 20"
+        assert (self.rejected(sun1, 33, "A 9 7 2 -1 5", "A 9 7 x -1 5")
+                == "line 33: expected integer, got 'x'")
+
+    def test_group_line_with_bad_index(self):
+        text = write_tiling(tiling_to_document(glue_rhombs(seed_wheel()))).decode()
+        assert text.split("\n")[27] == "groups 5"
+        assert (self.rejected(text, 31, "ThickRhomb 8 9", "ThickRhomb 8 9x")
+                == "line 31: expected integer, got '9x'")
+
+    def test_triangle_count_beyond_the_block(self, sun1):
+        # the 21st triangle line is 'end'
+        assert (self.rejected(sun1, 22, "triangles 20", "triangles 21")
+                == "line 43: triangle must be 'kind apex base0 base1 chirality parent'")
+        # the file stops, without a final newline, after the 8th triangle line
+        cut = "\n".join(sun1.split("\n")[:30])
+        with pytest.raises(DocumentError, match="^line 31: unexpected end of file$"):
+            read_tiling(cut.encode())
+
+    def test_file_ending_at_a_block_count(self, sun1):
+        for number in (5, 22):  # 'vertices 16', 'triangles 20'
+            cut = "\n".join(sun1.split("\n")[:number])
+            with pytest.raises(DocumentError,
+                               match=f"^line {number + 1}: unexpected end of file$"):
+                read_tiling(cut.encode())
+
+    def test_non_canonical_last_triangle(self, sun1):
+        assert sun1.split("\n")[42] == "end"
+        assert (self.rejected(sun1, 42, "O 13 3 6 -1 9", "O 13 3 6 -1 09")
+                == "line 42: not in canonical form: expected 'O 13 3 6 -1 9', "
+                   "got 'O 13 3 6 -1 09'")
+
+
 class TestValidateOnce:
     @pytest.fixture
     def shape_calls(self, monkeypatch):
