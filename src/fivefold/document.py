@@ -4,8 +4,9 @@ Geometry is stored exactly (integer quasilattice coordinates only); floats
 appear only in the optional projection metadata line, written with repr so
 reading them back is lossless.  The writer validates and canonicalizes
 nothing silently: a document must already satisfy the invariants (sorted
-deduplicated vertices, in-range indices, geometry-consistent chirality) or
-writing refuses, and the reader rejects violations with the line number.
+deduplicated vertices, each a triangle corner when there are triangles,
+in-range indices, geometry-consistent chirality, one-line ASCII header
+strings) or writing refuses, and the reader rejects violations.
 The reader also accepts only canonical spellings: it parses the document,
 then compares its input line by line with the writer's output for the
 values read, so write(read(data)) == data for every document it accepts.
@@ -88,16 +89,21 @@ class TilingDocument:
     def _problem(self) -> str | None:
         if self.version != FORMAT_VERSION:
             return f"unsupported format version {self.version}"
+        for name, text in (("unit note", self.unit_note), ("seed", self.seed)):
+            if not text.isascii() or "\n" in text:
+                return f"{name} must be one line of ASCII text"
         vertices = self.vertices
         if any(v >= w for v, w in zip(vertices, vertices[1:])):
             return "vertices must be deduplicated and in lexicographic order"
         n = len(vertices)
+        cornered = bytearray(n)
         for t_index, t in enumerate(self.triangles):
             if t.kind not in ("A", "O"):
                 return f"triangle {t_index}: unknown kind {t.kind!r}"
             for idx in (t.apex, t.base0, t.base1):
                 if not 0 <= idx < n:
                     return f"triangle {t_index}: vertex index {idx} out of range"
+                cornered[idx] = 1
             if t.chirality not in (-1, 1):
                 return f"triangle {t_index}: chirality must be +-1"
             if t.parent is not None and not 0 <= t.parent < len(self.triangles):
@@ -107,6 +113,10 @@ class TilingDocument:
                                      vertices[t.base0], vertices[t.base1])
             if problem:
                 return f"triangle {t_index}: {problem}"
+        # a patch's vertex table is the corners of its triangles, so a
+        # document read as a patch keeps its own table (document_to_patch)
+        if self.triangles and 0 in cornered:
+            return f"vertex {cornered.index(0)} is not a corner of any triangle"
         if self.groups is not None:
             seen: set[int] = set()
             valid_kinds = {k.value for k in CompositeKind}
@@ -298,26 +308,28 @@ def _parse_int(r: _Reader, token: str) -> int:
 def patch_to_document(patch: Patch,
                       groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None,
                       projection: ProjectionMeta | None = None) -> TilingDocument:
-    vertices = tuple(v.coords() for v in patch.vertices)
-    lookup = {v: i for i, v in enumerate(vertices)}
     doc_tris = tuple(
-        DocTriangle(t.kind.value, lookup[t.apex.coords()],
-                    lookup[t.base0.coords()], lookup[t.base1.coords()],
-                    t.chirality, t.parent)
-        for t in patch.triangles)
+        DocTriangle(t.kind.value, a, b, c, t.chirality, t.parent)
+        for t, (a, b, c) in zip(patch.triangles, patch.corners))
     return TilingDocument(seed=patch.seed, generation=patch.generation,
-                          vertices=vertices, triangles=doc_tris,
-                          groups=groups, projection=projection)
+                          vertices=tuple(v.coords() for v in patch.vertices),
+                          triangles=doc_tris, groups=groups, projection=projection)
 
 
 def document_to_patch(doc: TilingDocument) -> Patch:
+    """The document's triangles as a patch that keeps the document's vertex
+    table: a valid document's vertices are exactly its triangles' corners,
+    sorted and deduplicated, which is the table ``Patch`` would build."""
     doc.validate()
-    points = [CycloPoint(*v) for v in doc.vertices]
+    if not doc.triangles:  # projection points are no patch vertices
+        return Patch((), generation=doc.generation, seed=doc.seed)
+    points = tuple(CycloPoint(*v) for v in doc.vertices)
+    corners = tuple((t.apex, t.base0, t.base1) for t in doc.triangles)
     tris = tuple(
-        Triangle(TriangleKind(t.kind), points[t.apex], points[t.base0],
-                 points[t.base1], t.chirality, t.parent)
-        for t in doc.triangles)
-    return Patch(tris, generation=doc.generation, seed=doc.seed)
+        Triangle(TriangleKind(t.kind), points[a], points[b], points[c],
+                 t.chirality, t.parent)
+        for t, (a, b, c) in zip(doc.triangles, corners))
+    return Patch._with_table(tris, points, corners, doc.generation, doc.seed)
 
 
 def tiling_to_document(tiling: CompositeTiling) -> TilingDocument:

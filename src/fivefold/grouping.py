@@ -583,17 +583,14 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     across their base into thick rhombs, and remaining acute twins across
     a leg (shared apex) into deltoids.  Scale-independent."""
     tris = patch.triangles
-    coords = _triangle_coords(tris)
-    pack = _Packing(2 * _max_abs(coords))  # covers the canonical frames
-    order, _ = _canonical_frame(pack.frames(tris, coords))
+    order, _ = _canonical_index_order(patch)
     rank = {i: pos for pos, i in enumerate(order)}
-    # packed (apex, base0, base1) of each triangle
-    points = [(pack.point(c), pack.point(c, 4), pack.point(c, 8)) for c in coords]
+    corners = patch.corners
     claimed = [False] * len(tris)
     groups: list[Group] = []
 
-    base_map: dict[tuple, list[int]] = {}
-    for i, (t, (_, b0, b1)) in enumerate(zip(tris, points)):
+    base_map: dict[tuple[bool, int, int], list[int]] = {}
+    for i, (t, (_, b0, b1)) in enumerate(zip(tris, corners)):
         obtuse = t.kind is TriangleKind.OBTUSE
         base_map.setdefault((obtuse, min(b0, b1), max(b0, b1)), []).append(i)
     for kind, want in ((CompositeKind.THIN_RHOMB, TriangleKind.ACUTE),
@@ -602,16 +599,16 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
         for i in order:
             if claimed[i] or tris[i].kind is not want:
                 continue
-            apex, b0, b1 = points[i]
+            apex, b0, b1 = corners[i]
             twins = [j for j in base_map[(obtuse, min(b0, b1), max(b0, b1))]
-                     if j != i and not claimed[j] and points[j][0] != apex]
+                     if j != i and not claimed[j] and corners[j][0] != apex]
             if twins:
                 j = min(twins, key=rank.__getitem__)
                 claimed[i] = claimed[j] = True
                 groups.append(Group(kind, tuple(sorted((i, j)))))
 
     leg_map: dict[tuple[int, int], list[int]] = {}
-    for i, (t, (apex, b0, b1)) in enumerate(zip(tris, points)):
+    for i, (t, (apex, b0, b1)) in enumerate(zip(tris, corners)):
         if claimed[i] or t.kind is not TriangleKind.ACUTE:
             continue
         for b in (b0, b1):
@@ -620,7 +617,7 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
         if claimed[i] or tris[i].kind is not TriangleKind.ACUTE:
             continue
         chirality = tris[i].chirality
-        apex, b0, b1 = points[i]
+        apex, b0, b1 = corners[i]
         partners = []
         for b in (b0, b1):
             for j in leg_map.get((apex, b), ()):

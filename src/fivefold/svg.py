@@ -9,10 +9,11 @@ polygon in its kind's palette colour, otherwise one polygon per triangle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exact import EPS, TAU_C, CycloPoint
+from .exact import EPS, PHI, TAU_C, CycloPoint
 from .document import DocumentError, TilingDocument
 
 __all__ = ["RenderOptions", "render_svg", "PALETTE"]
@@ -84,6 +85,8 @@ def _group_outline(doc: TilingDocument, g: int) -> list[list[int]]:
 
 
 _BEYOND = "SVG coordinates beyond the float range"
+_LOG_TAU = math.log(PHI)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _embed(points: Iterable[CycloPoint]) -> list[tuple[float, float]]:
@@ -115,7 +118,7 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
         return [f"{_fmt(x)},{_fmt(y)}" for x, y in xy]
 
     if doc.groups is not None:
-        outlines = [(PALETTE.get(kind, "#cccccc"), loop)
+        outlines = [(PALETTE[kind], loop)
                     for g, (kind, _) in enumerate(doc.groups)
                     for loop in _group_outline(doc, g)]
     else:
@@ -134,8 +137,16 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
 
     if options.overlay is not None:
         k, m = options.overlay
-        factor = TAU_C ** k * EPS ** (m % 5)
-        overlay = corners(_embed(CycloPoint(*v) * factor for v in doc.vertices))
+        reach = max((math.hypot(x, y) for x, y in embedded), default=0.0)
+        if not reach:
+            overlay = fill  # nothing to scale but the origin, which stays put
+        elif k * _LOG_TAU + math.log(reach) > _LOG_FLOAT_MAX + 1:
+            # the farthest scaled vertex lies beyond e * DBL_MAX, so one of
+            # its coordinates would overflow: refuse before computing tau^k
+            raise ValueError(_BEYOND)
+        else:
+            factor = TAU_C ** k * EPS ** (m % 5)
+            overlay = corners(_embed(CycloPoint(*v) * factor for v in doc.vertices))
         for _, loop in outlines:
             parts.append(f'<polygon points="{" ".join(overlay[i] for i in loop)}" '
                          f'fill="none" stroke="{_OVERLAY}" stroke-width="2.000000"/>\n')

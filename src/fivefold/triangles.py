@@ -179,18 +179,41 @@ def _children(t: Triangle, parent: int | None) -> list[Triangle]:
 
 @dataclass(frozen=True)
 class Patch:
-    """A finite triangle collection with its deflation history."""
+    """A finite triangle collection with its deflation history.
+
+    ``corners`` is the one numbering of the vertices, as indices into
+    ``vertices``: every user of vertex numbers takes them from there, and
+    a patch read from a document keeps the document's numbering."""
 
     triangles: tuple[Triangle, ...]
     generation: int = 0
     seed: str = ""
     ancestor: "Patch | None" = None
 
+    @classmethod
+    def _with_table(cls, triangles: tuple[Triangle, ...],
+                    vertices: tuple[CycloPoint, ...],
+                    corners: tuple[tuple[int, int, int], ...],
+                    generation: int, seed: str) -> "Patch":
+        """A patch whose ``vertices`` and ``corners`` are already known:
+        they must be exactly what the properties would compute."""
+        patch = cls(triangles, generation, seed)
+        patch.__dict__.update(vertices=vertices, corners=corners)
+        return patch
+
     @cached_property
     def vertices(self) -> tuple[CycloPoint, ...]:
         """Deduplicated vertices in lexicographic coordinate order."""
         seen = {p.coords(): p for t in self.triangles for p in t.points()}
         return tuple(seen[c] for c in sorted(seen))
+
+    @cached_property
+    def corners(self) -> tuple[tuple[int, int, int], ...]:
+        """Each triangle's (apex, base0, base1) as indices into ``vertices``."""
+        # coordinate tuples hash and compare in C, points in Python
+        index = {p.coords(): i for i, p in enumerate(self.vertices)}
+        return tuple((index[t.apex.coords()], index[t.base0.coords()],
+                      index[t.base1.coords()]) for t in self.triangles)
 
     @cached_property
     def vertex_set(self) -> frozenset[CycloPoint]:
@@ -406,15 +429,13 @@ def validate_patch(patch: Patch) -> PatchReport:
 
 def validate_disk(patch: Patch) -> PatchReport:
     """Conditions 2-8 of ``validate_patch``, for a patch whose triangles
-    are known to hold condition 1, such as one read from a document."""
+    are known to hold condition 1, such as one read from a document.
+    Its maps hash the patch's one vertex numbering, ``patch.corners``."""
     tris = patch.triangles
     if not tris:
         return PatchReport(True)
-    # Number the vertices in order of first appearance, so that the maps
-    # below hash small integers rather than points.
-    index: dict[CycloPoint, int] = {}
-    corners = [[index.setdefault(v, len(index)) for v in t.points()] for t in tris]
-    points = list(index)
+    points = patch.vertices
+    corners = patch.corners
     angle = [0] * len(points)
     # Directed edges run counter-clockwise around their triangle, so the
     # triangle lies to the left; the verified chirality gives the order.
@@ -449,7 +470,7 @@ def validate_disk(patch: Patch) -> PatchReport:
     return PatchReport(not problems, tuple(problems))
 
 
-def _topology_problem(points: list[CycloPoint], angle: list[int],
+def _topology_problem(points: tuple[CycloPoint, ...], angle: list[int],
                       boundary: list[tuple[int, int]],
                       n_edges: int, n_faces: int) -> str | None:
     """The first of conditions 4-7 of ``validate_patch`` that fails."""
@@ -490,7 +511,7 @@ def _topology_problem(points: list[CycloPoint], angle: list[int],
     return None
 
 
-def _boundary_crossing(points: list[CycloPoint], boundary: list[tuple[int, int]],
+def _boundary_crossing(points: tuple[CycloPoint, ...], boundary: list[tuple[int, int]],
                        owner: dict[tuple[int, int], int]) -> str | None:
     """Condition 8 of ``validate_patch``: the first two boundary edges that
     meet anywhere but a shared endpoint, or overlap along one.

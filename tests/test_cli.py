@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,12 @@ import pytest
 import fivefold
 from fivefold import document, triangles
 from fivefold.cli import main
-from fivefold.document import patch_to_document, tiling_to_document, write_tiling
+from fivefold.document import (
+    TilingDocument,
+    patch_to_document,
+    tiling_to_document,
+    write_tiling,
+)
 from fivefold.grouping import CompositeKind, CompositeTiling, Group
 from fivefold.triangles import Patch, canonical_acute, canonical_obtuse, homothety_rotation
 
@@ -171,6 +178,64 @@ class TestRenderRefuses:
         assert code == 1
         assert "error: SVG coordinates beyond the float range" in err
         assert not svg.exists()
+
+
+class TestOverlayExponent:
+    def test_huge_exponent_refused_before_the_power(self, tmp_path, capsys):
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        svg = tmp_path / "s2.svg"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "render", str(tiling), "--svg", str(svg),
+                           "--overlay", "10000000,0")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert "error: SVG coordinates beyond the float range" in err
+        assert not svg.exists()
+
+    def test_empty_document_ignores_the_exponent(self, tmp_path, capsys):
+        path = tmp_path / "empty.qtile"
+        path.write_bytes(write_tiling(TilingDocument()))
+        outputs = []
+        for overlay in ("0,0", "10000000,3"):
+            svg = tmp_path / "empty.svg"
+            start = time.perf_counter()
+            code, _, _ = run(capsys, "render", str(path), "--svg", str(svg),
+                             "--overlay", overlay)
+            assert time.perf_counter() - start < 0.5
+            assert code == 0
+            outputs.append(svg.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_largest_renderable_exponent_unchanged(self, tmp_path, capsys):
+        # 1464 is the largest exponent that renders this file; the digest
+        # is the output of the exact computation, before the range check
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        svg = tmp_path / "s2.svg"
+        code, _, _ = run(capsys, "render", str(tiling), "--svg", str(svg),
+                         "--overlay", "1464,0")
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "b462bfea6127cfdbec532bce7e2c03c7dbf3b47ce4f9a89443ec42690e86bad6")
+
+
+class TestOrphanVertex:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "s1.qtile"],
+        ["group", "s1.qtile", "--policy", "rhombs", "--out", "out"],
+        ["render", "s1.qtile", "--atoms", "--svg", "out"],
+    ], ids=["verify", "group", "render"])
+    def test_refused(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "deflate", "--seed", "sun", "--steps", "1", "--out", "s1.qtile")
+        tiling = tmp_path / "s1.qtile"
+        text = tiling.read_text().replace("vertices 16\n", "vertices 17\n")
+        tiling.write_text(text.replace("\ntriangles ", "\n50 0 0 0\ntriangles "))
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "error: vertex 16 is not a corner of any triangle\n"
+        assert stdout == "" and not (tmp_path / "out").exists()
 
 
 class TestValidateOnce:

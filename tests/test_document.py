@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -18,7 +20,15 @@ from fivefold.document import (
 from fivefold.grouping import SET_B, detect_composites, glue_rhombs, templates
 from fivefold.projection import LatticeEnumeration, generate_quasilattice
 from fivefold.svg import RenderOptions, render_svg
-from fivefold.triangles import Patch, deflate_patch, seed_sun, seed_wheel, validate_patch
+from fivefold.triangles import (
+    Patch,
+    deflate_patch,
+    seed_patch,
+    seed_sun,
+    seed_wheel,
+    validate_disk,
+    validate_patch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +317,103 @@ class TestValidateOnce:
             with pytest.raises(DocumentError, match="triangle 0: not isosceles"):
                 call(doc)
         assert len(shape_calls) == 1
+
+
+class TestOneVertexTable:
+    @pytest.mark.parametrize("seed", ["sun", "wheel", "acute", "obtuse"])
+    def test_read_patch_keeps_the_patch_table(self, seed):
+        for generation in range(7):
+            p = deflate_patch(seed_patch(seed), generation)
+            read = document_to_patch(read_tiling(write_tiling(patch_to_document(p))))
+            fresh = Patch(p.triangles)
+            assert read.vertices == p.vertices == fresh.vertices
+            assert read.corners == p.corners == fresh.corners
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        """Count every computation of Patch.vertices and Patch.corners."""
+        builds = []
+        for name in ("vertices", "corners"):
+            build = getattr(Patch, name).func
+
+            def counting(patch, build=build, name=name):
+                builds.append(name)
+                return build(patch)
+
+            prop = cached_property(counting)
+            prop.__set_name__(Patch, name)
+            monkeypatch.setattr(Patch, name, prop)
+        return builds
+
+    def test_read_pipeline_never_numbers_vertices(self, table_builds):
+        sun = deflate_patch(seed_sun(), 3)
+        data = write_tiling(patch_to_document(sun))
+        assert sorted(table_builds) == ["corners", "vertices"]
+        expected = tiling_to_document(glue_rhombs(sun))
+        table_builds.clear()
+        patch = document_to_patch(read_tiling(data))
+        assert validate_disk(patch).ok
+        assert tiling_to_document(glue_rhombs(patch)) == expected
+        assert table_builds == []
+
+    def test_projection_document_gives_an_empty_patch(self):
+        doc = quasilattice_to_document(generate_quasilattice(2.0, (0.01, 0.0137, 0.0071), 4),
+                                       (0.01, 0.0137, 0.0071), 2.0, 4)
+        patch = document_to_patch(doc)
+        assert doc.vertices and patch.vertices == () and patch.corners == ()
+
+
+def sun1_with_orphan() -> TilingDocument:
+    """Sun generation 1 with one more vertex, (50, 0, 0, 0), that no
+    triangle uses: it sorts last, so no triangle index moves."""
+    doc = patch_to_document(deflate_patch(seed_sun(), 1))
+    return replace(doc, vertices=doc.vertices + ((50, 0, 0, 0),))
+
+
+def orphan_file() -> bytes:
+    text = write_tiling(patch_to_document(deflate_patch(seed_sun(), 1))).decode()
+    text = text.replace("vertices 16\n", "vertices 17\n")
+    return text.replace("\ntriangles ", "\n50 0 0 0\ntriangles ").encode()
+
+
+class TestEveryVertexIsACorner:
+    def test_writer_refuses_an_orphan_vertex(self):
+        with pytest.raises(DocumentError, match="^vertex 16 is not a corner of any triangle$"):
+            write_tiling(sun1_with_orphan())
+
+    def test_reader_refuses_an_orphan_vertex(self):
+        with pytest.raises(DocumentError, match="^vertex 16 is not a corner of any triangle$"):
+            read_tiling(orphan_file())
+
+    def test_vertices_without_triangles_allowed(self):
+        doc = TilingDocument(vertices=((0, 0, 0, 0), (1, 0, 0, 0)))
+        assert read_tiling(write_tiling(doc)) == doc
+
+
+HEADER_STRINGS = [("seed", "a\nb"), ("unit_note", "x\ny"), ("seed", "\u00e9"),
+                  ("unit_note", "\u00e9")]
+HEADER_IDS = ["seed-newline", "unit-newline", "seed-non-ascii", "unit-non-ascii"]
+
+
+class TestHeaderStrings:
+    @pytest.mark.parametrize("field,text", HEADER_STRINGS, ids=HEADER_IDS)
+    def test_writer_refuses(self, field, text):
+        name = "unit note" if field == "unit_note" else "seed"
+        with pytest.raises(DocumentError, match=f"^{name} must be one line of ASCII text$"):
+            write_tiling(TilingDocument(**{field: text}))
+
+    @pytest.mark.parametrize("field,text,problem", [
+        (*HEADER_STRINGS[0], "line 4: expected 'generation <n>'"),
+        (*HEADER_STRINGS[1], "line 3: expected 'seed <name>'"),
+        (*HEADER_STRINGS[2], "not an ascii document"),
+        (*HEADER_STRINGS[3], "not an ascii document"),
+    ], ids=HEADER_IDS)
+    def test_reader_refuses_what_the_writer_would_have_emitted(self, field, text, problem):
+        header = {"unit_note": document.UNIT_NOTE, "seed": "", field: text}
+        data = (f"qtile 1\nunit {header['unit_note']}\nseed {header['seed']}\n"
+                "generation 0\nvertices 0\ntriangles 0\nend\n").encode()
+        with pytest.raises(DocumentError, match=problem):
+            read_tiling(data)
 
 
 GOOD_PROJECTION = ProjectionMeta((0.01, 0.0137, 0.0071), 3.0, 5)
