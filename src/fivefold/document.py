@@ -25,9 +25,11 @@ from typing import TYPE_CHECKING, Sequence
 from . import FORMAT_VERSION
 from .exact import CycloPoint
 from .grouping import CompositeKind, CompositeTiling
-from .triangles import Patch, Triangle, TriangleKind, _shape_problem
+from .triangles import Patch, _coord_array, _shape_problem, _shape_rule
 
-if TYPE_CHECKING:  # projection pulls in numpy
+if TYPE_CHECKING:  # numpy is imported at first use
+    import numpy as np
+
     from .projection import QuasiPoint
 
 __all__ = [
@@ -95,43 +97,99 @@ class TilingDocument:
         vertices = self.vertices
         if any(v >= w for v, w in zip(vertices, vertices[1:])):
             return "vertices must be deduplicated and in lexicographic order"
-        n = len(vertices)
-        cornered = bytearray(n)
-        for t_index, t in enumerate(self.triangles):
-            if t.kind not in ("A", "O"):
-                return f"triangle {t_index}: unknown kind {t.kind!r}"
-            for idx in (t.apex, t.base0, t.base1):
-                if not 0 <= idx < n:
-                    return f"triangle {t_index}: vertex index {idx} out of range"
-                cornered[idx] = 1
-            if t.chirality not in (-1, 1):
-                return f"triangle {t_index}: chirality must be +-1"
-            if t.parent is not None and not 0 <= t.parent < len(self.triangles):
-                # a parent indexes the previous generation, which is smaller
-                return f"triangle {t_index}: parent index {t.parent} out of range"
-            problem = _shape_problem(t.kind, t.chirality, vertices[t.apex],
-                                     vertices[t.base0], vertices[t.base1])
+        if self.triangles:
+            problem = self._triangles_problem()
             if problem:
-                return f"triangle {t_index}: {problem}"
-        # a patch's vertex table is the corners of its triangles, so a
-        # document read as a patch keeps its own table (document_to_patch)
-        if self.triangles and 0 in cornered:
-            return f"vertex {cornered.index(0)} is not a corner of any triangle"
+                return problem
         if self.groups is not None:
-            seen: set[int] = set()
+            seen = bytearray(len(self.triangles))
             valid_kinds = {k.value for k in CompositeKind}
             for g_index, (kind, indices) in enumerate(self.groups):
                 if kind not in valid_kinds:
                     return f"group {g_index}: unknown kind {kind!r}"
+                if not indices:
+                    return f"group {g_index}: no triangles"
                 for idx in indices:
                     if not 0 <= idx < len(self.triangles):
                         return f"group {g_index}: triangle index {idx} out of range"
-                    if idx in seen:
+                    if seen[idx]:
                         return f"group {g_index}: triangle {idx} already grouped"
-                    seen.add(idx)
+                    seen[idx] = 1
         if self.generation < 0:
             return "generation must be >= 0"
         return self.projection and _projection_problem(self.projection)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex table as a (V, 4) array, and one row per triangle:
+        kind (0 "A", 1 "O", -1 unknown), apex, base0, base1, chirality and
+        parent (-1 for none, -2 for a negative one)."""
+        import numpy as np
+
+        def values():
+            for t in self.triangles:
+                yield _KIND_CODES.get(t.kind, -1)
+                yield from (t.apex, t.base0, t.base1, t.chirality)
+                yield -1 if t.parent is None else t.parent if t.parent >= 0 else -2
+
+        count = 6 * len(self.triangles)
+        try:
+            table = np.fromiter(values(), dtype=np.int64, count=count)
+        except OverflowError:  # an index beyond int64 is out of range anyway
+            table = np.fromiter(values(), dtype=object, count=count)
+        return _coord_array(self.vertices).reshape(-1, 4), table.reshape(-1, 6)
+
+    def _triangles_problem(self) -> str | None:
+        """The first triangle's first problem, then the first vertex that
+        no triangle uses.  The structure of every row (kind, indices,
+        chirality, parent) is checked on the arrays, then the shape rule
+        screens the rows before the first bad one; only the first failing
+        row is checked again one at a time, for its message."""
+        import numpy as np
+
+        points, table = self._arrays
+        n, n_tris = len(points), len(table)
+        kind, corners, chirality, parent = (table[:, 0], table[:, 1:4], table[:, 4],
+                                            table[:, 5])
+        bad = ((kind < 0) | ((corners < 0) | (corners >= n)).any(axis=1)
+               | ((chirality != 1) & (chirality != -1)) | (parent < -1)
+               | (parent >= n_tris))
+        end = int(np.argmax(bad)) if bad.any() else n_tris
+        at = corners[:end].astype(np.int64)
+        ok = _shape_rule(kind[:end], chirality[:end], points[at])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            t = self.triangles[i]
+            a, b, c = (self.vertices[k] for k in at[i].tolist())
+            return f"triangle {i}: {_shape_problem(t.kind, t.chirality, a, b, c)}"
+        if end < n_tris:
+            return f"triangle {end}: {_structure_problem(self.triangles[end], n, n_tris)}"
+        # a patch's vertex table is the corners of its triangles, so a
+        # document read as a patch keeps its own table (document_to_patch)
+        unused = np.flatnonzero(np.bincount(corners.ravel().astype(np.int64),
+                                            minlength=n) == 0)
+        if len(unused):
+            return f"vertex {unused[0]} is not a corner of any triangle"
+        return None
+
+
+_KIND_NAMES = "AO"  # by kind code
+_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
+
+
+def _structure_problem(t: DocTriangle, n_vertices: int, n_triangles: int) -> str | None:
+    """What is wrong with a triangle's kind, indices, chirality or parent."""
+    if t.kind not in _KIND_CODES:
+        return f"unknown kind {t.kind!r}"
+    for idx in (t.apex, t.base0, t.base1):
+        if not 0 <= idx < n_vertices:
+            return f"vertex index {idx} out of range"
+    if t.chirality not in (-1, 1):
+        return "chirality must be +-1"
+    if t.parent is not None and not 0 <= t.parent < n_triangles:
+        # a parent indexes the previous generation, which is smaller
+        return f"parent index {t.parent} out of range"
+    return None
 
 
 def _projection_problem(p: ProjectionMeta) -> str | None:
@@ -308,28 +366,39 @@ def _parse_int(r: _Reader, token: str) -> int:
 def patch_to_document(patch: Patch,
                       groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None,
                       projection: ProjectionMeta | None = None) -> TilingDocument:
+    import numpy as np
+
     doc_tris = tuple(
-        DocTriangle(t.kind.value, a, b, c, t.chirality, t.parent)
-        for t, (a, b, c) in zip(patch.triangles, patch.corners))
-    return TilingDocument(seed=patch.seed, generation=patch.generation,
-                          vertices=tuple(v.coords() for v in patch.vertices),
-                          triangles=doc_tris, groups=groups, projection=projection)
+        DocTriangle(_KIND_NAMES[k], a, b, c, s, None if p == -1 else p)
+        for k, (a, b, c), s, p in zip(patch.kind.tolist(), patch.corners,
+                                      patch.chirality.tolist(), patch.parent.tolist()))
+    doc = TilingDocument(seed=patch.seed, generation=patch.generation,
+                         vertices=tuple(v.coords() for v in patch.vertices),
+                         triangles=doc_tris, groups=groups, projection=projection)
+    # the arrays that validation would read back from these fields
+    points, corners = patch._numbering
+    doc.__dict__["_arrays"] = (points, np.column_stack(
+        (patch.kind, corners, patch.chirality, patch.parent)).reshape(-1, 6))
+    return doc
 
 
 def document_to_patch(doc: TilingDocument) -> Patch:
     """The document's triangles as a patch that keeps the document's vertex
     table: a valid document's vertices are exactly its triangles' corners,
     sorted and deduplicated, which is the table ``Patch`` would build."""
+    import numpy as np
+
     doc.validate()
     if not doc.triangles:  # projection points are no patch vertices
         return Patch((), generation=doc.generation, seed=doc.seed)
-    points = tuple(CycloPoint(*v) for v in doc.vertices)
-    corners = tuple((t.apex, t.base0, t.base1) for t in doc.triangles)
-    tris = tuple(
-        Triangle(TriangleKind(t.kind), points[a], points[b], points[c],
-                 t.chirality, t.parent)
-        for t, (a, b, c) in zip(doc.triangles, corners))
-    return Patch._with_table(tris, points, corners, doc.generation, doc.seed)
+    points, table = doc._arrays
+    corners = table[:, 1:4]
+    return Patch._from_arrays(
+        points[corners], table[:, 0].astype(np.int8), table[:, 4].astype(np.int8),
+        table[:, 5], generation=doc.generation, seed=doc.seed,
+        _numbering=(points, corners),
+        vertices=tuple(CycloPoint(*v) for v in doc.vertices),
+        corners=tuple((t.apex, t.base0, t.base1) for t in doc.triangles))
 
 
 def tiling_to_document(tiling: CompositeTiling) -> TilingDocument:

@@ -35,7 +35,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt
+from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, sq_norm_ab
 from .triangles import (
     Patch,
     Triangle,
@@ -330,11 +330,11 @@ class CompositeTiling:
     groups: tuple[Group, ...]
 
     def coverage(self) -> float:
-        if not self.patch.triangles:
+        if not len(self.patch):
             return 0.0
         grouped = sum(len(g.indices) for g in self.groups
                       if g.kind not in SINGLETON_KINDS)
-        return grouped / len(self.patch.triangles)
+        return grouped / len(self.patch)
 
 
 # ------------------------------------------------------------ integer keys
@@ -351,14 +351,12 @@ class CompositeTiling:
 # coordinates it will meet, so two keys are equal only for equal triangles.
 
 
-def _triangle_coords(tris: Sequence[Triangle]) -> list[tuple[int, ...]]:
+def _triangle_coords(patch: Patch) -> list[list[int]]:
     """The twelve coordinates (apex, base0, base1) of each triangle."""
-    return [(a.z0, a.z1, a.z2, a.z3, b.z0, b.z1, b.z2, b.z3,
-             c.z0, c.z1, c.z2, c.z3)
-            for t in tris for a, b, c in ((t.apex, t.base0, t.base1),)]
+    return patch.coords.reshape(len(patch), 12).tolist()
 
 
-def _max_abs(coords: list[tuple[int, ...]]) -> int:
+def _max_abs(coords: Sequence[Sequence[int]]) -> int:
     return max(max(map(max, coords), default=0),
                -min(map(min, coords), default=0))
 
@@ -385,14 +383,12 @@ class _Packing:
         return [obtuse * self.obtuse + p(a) * self.r8 + p(lo) * self.r4 + p(hi)
                 for obtuse, a, lo, hi in parts]
 
-    def frames(self, tris: Sequence[Triangle],
-               coords: list[tuple[int, ...]]) -> list[list[int]]:
+    def frames(self, coords: list[list[int]], obtuse: list[bool]) -> list[list[int]]:
         """Triangle keys of the patch in each of its five 72-degree
         rotations; the radix must cover twice the largest |coordinate|."""
-        obtuse = [t.kind is TriangleKind.OBTUSE for t in tris]
         return [self.frame_keys(coords, obtuse, k) for k in range(5)]
 
-    def frame_keys(self, coords: list[tuple[int, ...]], obtuse: list[bool],
+    def frame_keys(self, coords: Sequence[Sequence[int]], obtuse: list[bool],
                    k: int) -> list[int]:
         """Triangle keys of the patch rotated by 72k degrees.
 
@@ -437,10 +433,14 @@ def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
     which makes greedy grouping covariant under 72-degree rotation (up to
     the unavoidable ties of patches that are themselves 5-fold symmetric).
     """
-    coords = _triangle_coords(patch.triangles)
+    coords = _triangle_coords(patch)
     # a rotated coordinate is a coordinate or a difference of two
     pack = _Packing(2 * _max_abs(coords))
-    return _canonical_frame(pack.frames(patch.triangles, coords))
+    return _canonical_frame(pack.frames(coords, _obtuse(patch)))
+
+
+def _obtuse(patch: Patch) -> list[bool]:
+    return patch.kind.astype(bool).tolist()
 
 
 # ------------------------------------------------------------- pose table
@@ -493,7 +493,8 @@ def _pose_table(kind: CompositeKind, exponent: int) -> _PoseTable:
 def _patch_scale_exponent(patch: Patch) -> int:
     """m such that patch legs are tau^m times the canonical leg; raises if
     the patch is not at a tau-power scale."""
-    leg = patch.triangles[0].leg_sq()
+    apex, base0 = patch.coords[0, :2].tolist()
+    leg = GoldenInt(*sq_norm_ab([q - p for p, q in zip(apex, base0)]))
     probe = TAU2
     if leg == probe:
         return 0
@@ -521,22 +522,24 @@ def detect_composites(patch: Patch,
     """
     if not policy:
         raise ValueError("policy must name at least one composite kind")
-    tris = patch.triangles
-    if not tris:
+    n = len(patch)
+    if not n:
         return CompositeTiling(patch, ())
     exponent = _patch_scale_exponent(patch)
     tables = [(kind, _pose_table(kind, exponent)) for kind in policy
               if kind not in SINGLETON_KINDS]
-    coords = _triangle_coords(tris)
+    coords = _triangle_coords(patch)
+    obtuse = _obtuse(patch)
+    chirality = patch.chirality.tolist()
     m = _max_abs(coords)
     # covers the canonical frames (2m) and every probe: an anchor apex
     # plus a part offset (m + span)
     pack = _Packing(max([2 * m] + [m + table.span for _, table in tables]))
-    frames = pack.frames(tris, coords)
+    frames = pack.frames(coords, obtuse)
     order, k_star = _canonical_frame(frames)
-    index = dict(zip(frames[0], range(len(tris))))
+    index = dict(zip(frames[0], range(n)))
     apex_keys = [pack.point(c) * pack.shift for c in coords]
-    claimed = [False] * len(tris)
+    claimed = [False] * n
     # isometry iteration order aligned with the canonical frame, so that
     # rotating the patch rotates which candidate wins a tie
     rot_order = [(r0 - 2 * k_star) % 10 for r0 in range(10)]
@@ -548,12 +551,12 @@ def detect_composites(patch: Patch,
             for mirror in (False, True):
                 pose = table.poses[2 * rot + mirror]
                 by_chirality[pose.chirality].append((pose, pack.parts(pose.parts)))
+        anchor_obtuse = table.anchor_kind is TriangleKind.OBTUSE
         for i in order:
-            target = tris[i]
-            if claimed[i] or target.kind is not table.anchor_kind:
+            if claimed[i] or obtuse[i] != anchor_obtuse:
                 continue
             base = apex_keys[i]
-            for pose, keys in by_chirality.get(target.chirality, ()):
+            for pose, keys in by_chirality.get(chirality[i], ()):
                 hit: list[int] = []
                 for key in keys:
                     j = index.get(base + key)
@@ -564,43 +567,44 @@ def detect_composites(patch: Patch,
                     if len(set(hit)) == len(keys):
                         for j in hit:
                             claimed[j] = True
-                        shift = target.apex - pose.anchor
+                        shift = CycloPoint(*coords[i][:4]) - pose.anchor
                         groups.append(Group(kind, tuple(sorted(hit)),
                                             Isometry(pose.rot, pose.mirror, shift)))
                         break
 
-    for i in order:
-        if not claimed[i]:
-            kind = (CompositeKind.ACUTE_TRIANGLE
-                    if tris[i].kind is TriangleKind.ACUTE
-                    else CompositeKind.OBTUSE_TRIANGLE)
-            groups.append(Group(kind, (i,)))
-    return CompositeTiling(patch, tuple(groups))
+    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, obtuse))
+
+
+def _singletons(order: list[int], claimed: list[bool],
+                obtuse: list[bool]) -> tuple[Group, ...]:
+    """Each unclaimed triangle as a group of its own, in order."""
+    return tuple(Group(CompositeKind.OBTUSE_TRIANGLE if obtuse[i]
+                       else CompositeKind.ACUTE_TRIANGLE, (i,))
+                 for i in order if not claimed[i])
 
 
 def glue_rhombs(patch: Patch) -> CompositeTiling:
     """Pair mirror twins: acute across their base into thin rhombs, obtuse
     across their base into thick rhombs, and remaining acute twins across
     a leg (shared apex) into deltoids.  Scale-independent."""
-    tris = patch.triangles
     order, _ = _canonical_index_order(patch)
     rank = {i: pos for pos, i in enumerate(order)}
     corners = patch.corners
-    claimed = [False] * len(tris)
+    obtuse = _obtuse(patch)
+    chirality = patch.chirality.tolist()
+    claimed = [False] * len(patch)
     groups: list[Group] = []
 
     base_map: dict[tuple[bool, int, int], list[int]] = {}
-    for i, (t, (_, b0, b1)) in enumerate(zip(tris, corners)):
-        obtuse = t.kind is TriangleKind.OBTUSE
-        base_map.setdefault((obtuse, min(b0, b1), max(b0, b1)), []).append(i)
-    for kind, want in ((CompositeKind.THIN_RHOMB, TriangleKind.ACUTE),
-                       (CompositeKind.THICK_RHOMB, TriangleKind.OBTUSE)):
-        obtuse = want is TriangleKind.OBTUSE
+    for i, (o, (_, b0, b1)) in enumerate(zip(obtuse, corners)):
+        base_map.setdefault((o, min(b0, b1), max(b0, b1)), []).append(i)
+    for kind, want in ((CompositeKind.THIN_RHOMB, False),
+                       (CompositeKind.THICK_RHOMB, True)):
         for i in order:
-            if claimed[i] or tris[i].kind is not want:
+            if claimed[i] or obtuse[i] is not want:
                 continue
             apex, b0, b1 = corners[i]
-            twins = [j for j in base_map[(obtuse, min(b0, b1), max(b0, b1))]
+            twins = [j for j in base_map[(want, min(b0, b1), max(b0, b1))]
                      if j != i and not claimed[j] and corners[j][0] != apex]
             if twins:
                 j = min(twins, key=rank.__getitem__)
@@ -608,33 +612,26 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
                 groups.append(Group(kind, tuple(sorted((i, j)))))
 
     leg_map: dict[tuple[int, int], list[int]] = {}
-    for i, (t, (apex, b0, b1)) in enumerate(zip(tris, corners)):
-        if claimed[i] or t.kind is not TriangleKind.ACUTE:
+    for i, (apex, b0, b1) in enumerate(corners):
+        if claimed[i] or obtuse[i]:
             continue
         for b in (b0, b1):
             leg_map.setdefault((apex, b), []).append(i)
     for i in order:
-        if claimed[i] or tris[i].kind is not TriangleKind.ACUTE:
+        if claimed[i] or obtuse[i]:
             continue
-        chirality = tris[i].chirality
         apex, b0, b1 = corners[i]
         partners = []
         for b in (b0, b1):
             for j in leg_map.get((apex, b), ()):
-                if j != i and not claimed[j] and tris[j].chirality != chirality:
+                if j != i and not claimed[j] and chirality[j] != chirality[i]:
                     partners.append(j)
         if partners:
             j = min(partners, key=rank.__getitem__)
             claimed[i] = claimed[j] = True
             groups.append(Group(CompositeKind.DELTOID, tuple(sorted((i, j)))))
 
-    for i in order:
-        if not claimed[i]:
-            kind = (CompositeKind.ACUTE_TRIANGLE
-                    if tris[i].kind is TriangleKind.ACUTE
-                    else CompositeKind.OBTUSE_TRIANGLE)
-            groups.append(Group(kind, (i,)))
-    return CompositeTiling(patch, tuple(groups))
+    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, obtuse))
 
 
 def count_tiles(tiling: CompositeTiling) -> dict[CompositeKind, int]:
@@ -661,35 +658,36 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     """
     problems: list[str] = []
     seen: set[int] = set()
-    tris = tiling.patch.triangles
+    patch = tiling.patch
     for g in tiling.groups:
         for i in g.indices:
             if i in seen:
                 problems.append(f"triangle {i} appears in two groups")
             seen.add(i)
-    if seen != set(range(len(tris))):
+    if seen != set(range(len(patch))):
         problems.append("groups do not cover the triangle set")
 
+    coords = _triangle_coords(patch)
+    obtuse = _obtuse(patch)
+    chirality = patch.chirality.tolist()
     posed = [g for g in tiling.groups
              if g.iso is not None and g.kind not in SINGLETON_KINDS]
     if posed:
-        exponent = _patch_scale_exponent(tiling.patch)
-        coords = _triangle_coords(tris)
+        exponent = _patch_scale_exponent(patch)
         # covers the patch and every translated posed part point
         pack = _Packing(max([_max_abs(coords)] + [
             _pose_table(g.kind, exponent).reach + max(map(abs, g.iso.shift.coords()))
             for g in posed]))
-        keys = pack.frame_keys(coords, [t.kind is TriangleKind.OBTUSE for t in tris], 0)
+        keys = pack.frame_keys(coords, obtuse, 0)
         part_keys: dict[tuple[CompositeKind, int], list[int]] = {}
     for g in tiling.groups:
         if g.kind in SINGLETON_KINDS:
-            want = (TriangleKind.ACUTE if g.kind is CompositeKind.ACUTE_TRIANGLE
-                    else TriangleKind.OBTUSE)
-            if len(g.indices) != 1 or tris[g.indices[0]].kind is not want:
+            want = g.kind is CompositeKind.OBTUSE_TRIANGLE
+            if len(g.indices) != 1 or obtuse[g.indices[0]] is not want:
                 problems.append(f"bad singleton group {g}")
             continue
         if g.iso is None:
-            ok = _verify_pair(tris, g)
+            ok = _verify_pair(coords, obtuse, chirality, g)
             if not ok:
                 problems.append(f"pair group failed re-verification: {g}")
             continue
@@ -706,22 +704,21 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     return GroupingReport(not problems, tuple(problems))
 
 
-def _verify_pair(tris: Sequence[Triangle], g: Group) -> bool:
+def _verify_pair(coords: list[list[int]], obtuse: list[bool], chirality: list[int],
+                 g: Group) -> bool:
     if len(g.indices) != 2:
         return False
-    t1, t2 = (tris[i] for i in g.indices)
-    if t1.kind is not t2.kind or t1.chirality == t2.chirality:
+    i, j = g.indices
+    if obtuse[i] is not obtuse[j] or chirality[i] == chirality[j]:
         return False
+    apex1, apex2 = coords[i][:4], coords[j][:4]
+    bases1, bases2 = ({tuple(c[4:8]), tuple(c[8:])} for c in (coords[i], coords[j]))
     if g.kind in (CompositeKind.THIN_RHOMB, CompositeKind.THICK_RHOMB):
-        want = (TriangleKind.ACUTE if g.kind is CompositeKind.THIN_RHOMB
-                else TriangleKind.OBTUSE)
-        if t1.kind is not want:
+        if obtuse[i] is not (g.kind is CompositeKind.THICK_RHOMB):
             return False
-        same_base = {t1.base0, t1.base1} == {t2.base0, t2.base1}
-        return same_base and t1.apex != t2.apex
+        return bases1 == bases2 and apex1 != apex2
     if g.kind is CompositeKind.DELTOID:
-        if t1.kind is not TriangleKind.ACUTE or t1.apex != t2.apex:
+        if obtuse[i] or apex1 != apex2:
             return False
-        shared = {t1.base0, t1.base1} & {t2.base0, t2.base1}
-        return len(shared) == 1
+        return len(bases1 & bases2) == 1
     return False

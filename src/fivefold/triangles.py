@@ -16,14 +16,19 @@ re-checks the property on any patch.
 
 Lengths are in edge units: the acute base has squared length 1, every leg
 tau^2, the obtuse base tau^4.
+
+A ``Patch`` is stored as arrays (coordinates, kind, chirality, parent), and
+deflation, vertex numbering and validation run on them; ``Triangle`` is the
+exact object form of one triangle, built on request.  numpy is imported at
+first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Iterable
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .exact import (
     EPS,
@@ -38,6 +43,9 @@ from .exact import (
     golden_sign,
     sq_norm_ab,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TriangleKind",
@@ -122,8 +130,8 @@ def check_triangle(t: Triangle) -> str | None:
 def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
                    b: tuple[int, ...], c: tuple[int, ...]) -> str | None:
     """What is wrong with the shape of the triangle of kind "A" or "O"
-    with apex a, bases b, c (vertex coordinates) and this chirality:
-    the one shape rule behind ``check_triangle`` and the document reader."""
+    with apex a, bases b, c (vertex coordinates) and this chirality: the
+    rule of ``_shape_rule`` for one triangle, which names the problem."""
     u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
     w = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
     sign = golden_sign(*cross_ab(u, w))
@@ -141,6 +149,60 @@ def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
     return None
 
 
+# Arrays of coordinates are int64 while every |coordinate| is at most B =
+# _INT64_BOUND, and hold Python ints (dtype object) above it; the same array
+# code runs exactly on both.  The bound makes every int64 product exact:
+# differences of coordinates are at most 2B, so a cross_ab component, a sum
+# of six products of differences, is at most 24 B^2, and the golden sign
+# squares it: a^2 + a*b - b^2 <= 3 * (24 B^2)^2 = 1728 B^4 < 2^63 for
+# B = 2^13.  Squared lengths stay below 112 B^2, deflation children below
+# 7 B, and a point packed in radix 2B + 1 below (2B + 1)^4 < 2^57.
+_INT64_BOUND = 2 ** 13
+
+
+def _coord_array(rows) -> np.ndarray:
+    """Integer rows as an array: int64 within the bound, else Python ints."""
+    import numpy as np
+
+    try:
+        out = np.asarray(rows, dtype=np.int64)
+    except OverflowError:  # beyond int64 altogether
+        return np.asarray(rows, dtype=object)
+    if out.size and (out.max() > _INT64_BOUND or out.min() < -_INT64_BOUND):
+        return out.astype(object)
+    return out
+
+
+def _golden_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``golden_sign`` of each a + b*tau.  Where a and b have opposite
+    signs, that is the sign of a times the sign of the norm a^2 + ab - b^2
+    (never 0, tau being irrational); elsewhere it is the sign of a + b."""
+    import numpy as np
+
+    mixed = ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
+    return np.where(mixed, np.sign(a) * np.sign(a * a + a * b - b * b), np.sign(a + b))
+
+
+def _shape_rule(kind: np.ndarray, chirality: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """``_shape_problem`` on arrays, the one shape rule every triangle
+    passes through: True for each row that it returns None for.  Row i is
+    the triangle of kind[i] (0 acute, 1 obtuse) with chirality[i] and
+    apex, base0, base1 at coords[i] (shape (N, 3, 4)).  The closed forms
+    ``cross_ab`` and ``sq_norm_ab`` take the coordinate columns whole."""
+    import numpy as np
+
+    a, b, c = coords[:, 0].T, coords[:, 1].T, coords[:, 2].T
+    u, w = b - a, c - a
+    sign = _golden_signs(*cross_ab(u, w))
+    leg0, leg1 = sq_norm_ab(u)
+    other0, other1 = sq_norm_ab(w)
+    x, y = sq_norm_ab(w - u)
+    acute = (leg0 == x + y) & (leg1 == x + 2 * y)
+    obtuse = (x == leg0 + leg1) & (y == leg0 + 2 * leg1)
+    return ((sign == chirality) & (other0 == leg0) & (other1 == leg1)
+            & np.where(kind == 1, obtuse, acute))
+
+
 def deflate_triangle(t: Triangle) -> list[Triangle]:
     """Cut one triangle into homothetic children at linear scale 1/tau.
 
@@ -156,34 +218,48 @@ def deflate_triangle(t: Triangle) -> list[Triangle]:
     return _children(t, t.parent)
 
 
-def _children(t: Triangle, parent: int | None) -> list[Triangle]:
-    """The children of a valid triangle, each with the given parent.
+_KINDS = (TriangleKind.ACUTE, TriangleKind.OBTUSE)  # by kind code 0, 1
 
-    Each split point lies on a parent edge, so each child keeps (+1) or
-    mirrors (-1) its parent's corner order, a sign fixed by its slot: the
-    child's chirality is the parent's times that sign.
-    """
-    s = t.chirality
-    if t.kind is TriangleKind.ACUTE:
-        a, b, c = t.apex, t.base0, t.base1
-        p = a + (b - a) * INV_TAU
-        return [Triangle(TriangleKind.ACUTE, c, p, b, s, parent),
-                Triangle(TriangleKind.OBTUSE, p, c, a, s, parent)]
-    g, a, b = t.apex, t.base0, t.base1
-    q = a + (g - a) * INV_TAU
-    r = a + (b - a) * INV_TAU
-    return [Triangle(TriangleKind.OBTUSE, r, b, g, s, parent),
-            Triangle(TriangleKind.OBTUSE, q, r, a, -s, parent),
-            Triangle(TriangleKind.ACUTE, r, q, g, -s, parent)]
+# The deflation slots.  A parent's points are its apex, base0 and base1,
+# then its split points, each at 1/tau of the way from one point to
+# another: (a, b, c, p) for an acute parent, p on a-b; (g, a, b, q, r) for
+# an obtuse one, q on a-g and r on a-b.  Each split point lies on a parent
+# edge, so each child keeps (+1) or mirrors (-1) its parent's corner order:
+# a child is its kind, its apex, base0 and base1 as positions in the point
+# list, and that sign, by which its chirality is its parent's.
+_SPLITS = {TriangleKind.ACUTE: ((0, 1),), TriangleKind.OBTUSE: ((1, 0), (1, 2))}
+_SLOTS = {
+    TriangleKind.ACUTE: ((TriangleKind.ACUTE, (2, 3, 1), 1),
+                         (TriangleKind.OBTUSE, (3, 2, 0), 1)),
+    TriangleKind.OBTUSE: ((TriangleKind.OBTUSE, (4, 2, 0), 1),
+                          (TriangleKind.OBTUSE, (3, 4, 1), -1),
+                          (TriangleKind.ACUTE, (4, 3, 0), -1)),
+}
+
+
+def _children(t: Triangle, parent: int | None) -> list[Triangle]:
+    """The children of a valid triangle, each with the given parent."""
+    points = [t.apex, t.base0, t.base1]
+    for i, j in _SPLITS[t.kind]:
+        points.append(points[i] + (points[j] - points[i]) * INV_TAU)
+    return [Triangle(kind, points[a], points[b], points[c], t.chirality * sign, parent)
+            for kind, (a, b, c), sign in _SLOTS[t.kind]]
 
 
 @dataclass(frozen=True)
 class Patch:
     """A finite triangle collection with its deflation history.
 
+    A patch is stored as arrays: ``coords`` (N, 3, 4), each triangle's
+    apex, base0 and base1; ``kind`` (0 acute, 1 obtuse); ``chirality``;
+    ``parent`` (-1 for none).  ``triangles`` is the same patch as exact
+    ``Triangle`` objects.  A patch made from either form builds the other
+    the first time it is read.
+
     ``corners`` is the one numbering of the vertices, as indices into
-    ``vertices``: every user of vertex numbers takes them from there, and
-    a patch read from a document keeps the document's numbering."""
+    ``vertices``: every user of vertex numbers takes them from there, or
+    from the arrays behind both, and a patch read from a document keeps the
+    document's numbering."""
 
     triangles: tuple[Triangle, ...]
     generation: int = 0
@@ -191,40 +267,100 @@ class Patch:
     ancestor: "Patch | None" = None
 
     @classmethod
-    def _with_table(cls, triangles: tuple[Triangle, ...],
-                    vertices: tuple[CycloPoint, ...],
-                    corners: tuple[tuple[int, int, int], ...],
-                    generation: int, seed: str) -> "Patch":
-        """A patch whose ``vertices`` and ``corners`` are already known:
-        they must be exactly what the properties would compute."""
-        patch = cls(triangles, generation, seed)
-        patch.__dict__.update(vertices=vertices, corners=corners)
+    def _from_arrays(cls, coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray,
+                     parent: np.ndarray, generation: int = 0, seed: str = "",
+                     ancestor: "Patch | None" = None, **known) -> "Patch":
+        """A patch given as arrays, ``coords`` as ``_coord_array`` makes
+        them.  Cached properties given in ``known`` (``_numbering``,
+        ``vertices``, ``corners``) must be exactly what they would compute."""
+        patch = object.__new__(cls)
+        patch.__dict__.update(generation=generation, seed=seed, ancestor=ancestor,
+                              _arrays=(coords, kind, chirality, parent), **known)
         return patch
+
+    def __getattr__(self, name: str):
+        # called only for attributes never set: a patch made from arrays
+        # builds its triangles on first read
+        if name != "triangles":
+            raise AttributeError(name)
+        coords, kind, chirality, parent = self._arrays
+        rows = coords.reshape(len(kind), 12).tolist()
+        tris = tuple(
+            Triangle(_KINDS[k], CycloPoint(*z[:4]), CycloPoint(*z[4:8]),
+                     CycloPoint(*z[8:]), s, None if p < 0 else p)
+            for z, k, s, p in zip(rows, kind.tolist(), chirality.tolist(), parent.tolist()))
+        self.__dict__["triangles"] = tris
+        return tris
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """coords, kind, chirality and parent of ``triangles``."""
+        import numpy as np
+
+        tris = self.triangles
+        coords = _coord_array([t.apex.coords() + t.base0.coords() + t.base1.coords()
+                               for t in tris])
+        return (coords.reshape(len(tris), 3, 4),
+                np.array([t.kind is TriangleKind.OBTUSE for t in tris], dtype=np.int8),
+                np.array([t.chirality for t in tris], dtype=np.int8),
+                np.array([-1 if t.parent is None else t.parent for t in tris],
+                         dtype=np.int64))
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(N, 3, 4): the coordinates of each apex, base0 and base1."""
+        return self._arrays[0]
+
+    @property
+    def kind(self) -> np.ndarray:
+        """(N,) int8: 0 for an acute triangle, 1 for an obtuse one."""
+        return self._arrays[1]
+
+    @property
+    def chirality(self) -> np.ndarray:
+        """(N,) int8: each triangle's stored chirality."""
+        return self._arrays[2]
+
+    @property
+    def parent(self) -> np.ndarray:
+        """(N,) int64: the index of each triangle's parent, or -1."""
+        return self._arrays[3]
+
+    @cached_property
+    def _numbering(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct vertices as a (V, 4) coordinate array in
+        lexicographic order, and each triangle's apex, base0 and base1 as
+        indices into it, (N, 3)."""
+        import numpy as np
+
+        points = self.coords.reshape(-1, 4)
+        bound = max(int(points.max(initial=0)), -int(points.min(initial=0)))
+        r = 2 * bound + 1
+        # balanced radix r: one integer per point, ordered like the tuples
+        keys = ((points[:, 0] * r + points[:, 1]) * r + points[:, 2]) * r + points[:, 3]
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        return points[first], index.reshape(-1, 3)
 
     @cached_property
     def vertices(self) -> tuple[CycloPoint, ...]:
         """Deduplicated vertices in lexicographic coordinate order."""
-        seen = {p.coords(): p for t in self.triangles for p in t.points()}
-        return tuple(seen[c] for c in sorted(seen))
+        return tuple(CycloPoint(*p) for p in self._numbering[0].tolist())
 
     @cached_property
     def corners(self) -> tuple[tuple[int, int, int], ...]:
         """Each triangle's (apex, base0, base1) as indices into ``vertices``."""
-        # coordinate tuples hash and compare in C, points in Python
-        index = {p.coords(): i for i, p in enumerate(self.vertices)}
-        return tuple((index[t.apex.coords()], index[t.base0.coords()],
-                      index[t.base1.coords()]) for t in self.triangles)
+        return tuple(map(tuple, self._numbering[1].tolist()))
 
     @cached_property
     def vertex_set(self) -> frozenset[CycloPoint]:
         return frozenset(self.vertices)
 
     def counts(self) -> tuple[int, int]:
-        acute = sum(1 for t in self.triangles if t.kind is TriangleKind.ACUTE)
-        return acute, len(self.triangles) - acute
+        obtuse = int(self.kind.sum())
+        return len(self) - obtuse, obtuse
 
     def __len__(self) -> int:
-        return len(self.triangles)
+        return len(self.kind)
 
 
 def canonical_acute() -> Triangle:
@@ -298,17 +434,68 @@ def deflate_patch(patch: Patch, steps: int, jobs: int = 1) -> Patch:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    for t in patch.triangles:
-        problem = check_triangle(t)
-        if problem:
-            raise ValueError(problem)
+    bad = _first_bad_triangle(patch)
+    if bad:
+        raise ValueError(bad[1])
     out = patch
     for _ in range(steps):
-        children = tuple(child for i, t in enumerate(out.triangles)
-                         for child in _children(t, i))
-        out = Patch(children, generation=out.generation + 1, seed=out.seed,
-                    ancestor=out)
+        out = Patch._from_arrays(*_deflate_arrays(out.coords, out.kind, out.chirality),
+                                 generation=out.generation + 1, seed=out.seed,
+                                 ancestor=out)
     return out
+
+
+@cache
+def _inv_tau_matrix() -> np.ndarray:
+    """The 4x4 integer matrix of multiplication by 1/tau: row k is the
+    image of the k-th basis point, so z / tau = z @ matrix."""
+    import numpy as np
+
+    basis = (CycloPoint(1, 0, 0, 0), EPS, EPS * EPS, EPS * EPS * EPS)
+    return np.array([(e * INV_TAU).coords() for e in basis], dtype=np.int64)
+
+
+def _deflate_arrays(coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray):
+    """One deflation of a patch given as arrays, by the slot tables of
+    ``_children``: the children's coords, kind, chirality and parent, the
+    children of each triangle in slot order, in triangle order."""
+    import numpy as np
+
+    size = 2 + kind.astype(np.int64)  # children per triangle
+    first = np.cumsum(size) - size
+    total = int(size.sum())
+    out = np.empty((total, 3, 4), dtype=coords.dtype)
+    out_kind = np.empty(total, dtype=np.int8)
+    out_chirality = np.empty(total, dtype=np.int8)
+    m = _inv_tau_matrix()
+    for code, parent_kind in enumerate(_KINDS):
+        rows = np.flatnonzero(kind == code)
+        points = [coords[rows, k] for k in range(3)]
+        for i, j in _SPLITS[parent_kind]:
+            points.append(points[i] + (points[j] - points[i]) @ m)
+        for slot, (child_kind, (a, b, c), sign) in enumerate(_SLOTS[parent_kind]):
+            at = first[rows] + slot
+            out[at] = np.stack((points[a], points[b], points[c]), axis=1)
+            out_kind[at] = _KINDS.index(child_kind)
+            out_chirality[at] = chirality[rows] * sign
+    parent = np.repeat(np.arange(len(kind), dtype=np.int64), size)
+    return _coord_array(out), out_kind, out_chirality, parent
+
+
+def _first_bad_triangle(patch: Patch) -> tuple[int, str] | None:
+    """The first triangle of the patch that ``check_triangle`` refuses, and
+    its message: the shape rule screens every row, and only the first
+    failing one is checked again one at a time."""
+    import numpy as np
+
+    c = patch.coords
+    ok = _shape_rule(patch.kind, patch.chirality, c)
+    for i, j in ((0, 1), (0, 2), (1, 2)):  # no repeated vertex
+        ok &= (c[:, i] != c[:, j]).any(axis=1)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    return i, check_triangle(patch.triangles[i])
 
 
 def inflate_patch(patch: Patch, steps: int) -> Patch:
@@ -386,8 +573,8 @@ def _point_on_open_segment(v: CycloPoint, p: CycloPoint, q: CycloPoint) -> bool:
     return t.sign() > 0 and (t - dot2(d, d)).sign() < 0
 
 
-# Corner angles at (apex, base0, base1) in units of 36 degrees.
-_CORNER_UNITS = {TriangleKind.ACUTE: (1, 2, 2), TriangleKind.OBTUSE: (3, 1, 1)}
+# Corner angles at (apex, base0, base1) in units of 36 degrees, by kind code.
+_CORNER_UNITS = ((1, 2, 2), (3, 1, 1))
 _FULL_TURN = 10  # 360 degrees
 
 
@@ -420,80 +607,112 @@ def validate_patch(patch: Patch) -> PatchReport:
     the first pair of boundary edges that break 8, named as an overlap of
     their triangles.  Only the boundary edges are compared pairwise.
     """
-    for i, t in enumerate(patch.triangles):
-        msg = check_triangle(t)
-        if msg:
-            return PatchReport(False, (f"triangle {i}: {msg}",))
+    bad = _first_bad_triangle(patch)
+    if bad:
+        return PatchReport(False, (f"triangle {bad[0]}: {bad[1]}",))
     return validate_disk(patch)
+
+
+class _Points:
+    """A (V, 4) coordinate table read as a sequence of points, each built
+    when it is asked for: the validator names or compares only a few."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, v: int) -> CycloPoint:
+        return CycloPoint(*self.coords[v].tolist())
 
 
 def validate_disk(patch: Patch) -> PatchReport:
     """Conditions 2-8 of ``validate_patch``, for a patch whose triangles
     are known to hold condition 1, such as one read from a document.
-    Its maps hash the patch's one vertex numbering, ``patch.corners``."""
-    tris = patch.triangles
-    if not tris:
+    It works on the patch's one vertex numbering.
+
+    Each triangle's directed edges run counter-clockwise around it, so the
+    triangle lies to their left; the verified chirality gives the order.
+    A directed edge owned twice has two triangles on the same side.  An
+    edge packs into one integer, its two vertex indices (lower first) and
+    a direction bit; one stable sort of the edges in triangle order puts
+    copies of a directed edge next to each other, the first owner first,
+    and next to them its reverse.  The edges with no reverse are the
+    boundary, kept in triangle order."""
+    import numpy as np
+
+    n = len(patch)
+    if not n:
         return PatchReport(True)
-    points = patch.vertices
-    corners = patch.corners
-    angle = [0] * len(points)
-    # Directed edges run counter-clockwise around their triangle, so the
-    # triangle lies to the left; the verified chirality gives the order.
-    # A directed edge owned twice has two triangles on the same side.
-    owner: dict[tuple[int, int], int] = {}
-    for i, (t, (a, b, c)) in enumerate(zip(tris, corners)):
-        ua, ub, uc = _CORNER_UNITS[t.kind]
-        angle[a] += ua
-        angle[b] += ub
-        angle[c] += uc
-        if t.chirality < 0:
-            b, c = c, b
-        for edge in ((a, b), (b, c), (c, a)):
-            j = owner.setdefault(edge, i)
-            if j != i:
-                if set(corners[j]) == {a, b, c}:
-                    problem = f"triangle {i} duplicates triangle {j}"
-                else:
-                    problem = (f"triangles {[j, i]} lie on the same side of shared "
-                               f"edge {points[edge[0]]}-{points[edge[1]]}")
-                return PatchReport(False, (problem,))
-    boundary = [(p, q) for p, q in owner if (q, p) not in owner]
+    table, corners = patch._numbering
+    points = _Points(table)
+    v = len(table)
+    ccw = np.where((patch.chirality < 0)[:, None], corners[:, [0, 2, 1]], corners)
+    tail = ccw.ravel()
+    head = ccw[:, [1, 2, 0]].ravel()
+    keys = (np.minimum(tail, head) * v + np.maximum(tail, head)) * 2 + (tail > head)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        e = int(order[1:][same].min())  # the first edge already owned
+        i, j = e // 3, int(order[np.searchsorted(ranked, keys[e])]) // 3
+        if set(corners[j].tolist()) == set(corners[i].tolist()):
+            problem = f"triangle {i} duplicates triangle {j}"
+        else:
+            problem = (f"triangles {[j, i]} lie on the same side of shared "
+                       f"edge {points[int(tail[e])]}-{points[int(head[e])]}")
+        return PatchReport(False, (problem,))
+    paired = (ranked[1:] >> 1) == (ranked[:-1] >> 1)  # an edge and its reverse
+    alone = np.ones(len(keys), dtype=bool)
+    alone[1:] &= ~paired
+    alone[:-1] &= ~paired
+    on_rim = np.empty_like(alone)
+    on_rim[order] = alone
+    rim = np.flatnonzero(on_rim)
+    boundary = np.stack((tail[rim], head[rim]), axis=1)
+    angle = np.bincount(corners.ravel(), minlength=v,
+                        weights=np.array(_CORNER_UNITS)[patch.kind].ravel())
 
     problems = []
-    n_edges = (len(owner) + len(boundary)) // 2
-    topology = _topology_problem(points, angle, boundary, n_edges, len(tris))
+    n_edges = (len(keys) + len(rim)) // 2
+    topology = _topology_problem(points, angle.astype(np.int64), boundary, n_edges, n)
     if topology:
         problems.append(f"{topology}: not a disk")
-    crossing = _boundary_crossing(points, boundary, owner)
+    crossing = _boundary_crossing(points, boundary.tolist(), (rim // 3).tolist())
     if crossing:
         problems.append(crossing)
     return PatchReport(not problems, tuple(problems))
 
 
-def _topology_problem(points: tuple[CycloPoint, ...], angle: list[int],
-                      boundary: list[tuple[int, int]],
-                      n_edges: int, n_faces: int) -> str | None:
-    """The first of conditions 4-7 of ``validate_patch`` that fails."""
-    degree = [0] * len(points)
-    succ: dict[int, int] = {}
-    for p, q in boundary:
-        degree[p] += 1
-        degree[q] += 1
-        succ[p] = q
-    for v, units in enumerate(angle):
+def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> str | None:
+    """The first of conditions 4-7 of ``validate_patch`` that fails, given
+    the V points (for messages), the angle sum at each in units of 36
+    degrees, the boundary edges as (p, q) index pairs and the counts."""
+    import numpy as np
+
+    angle = np.asarray(angle)
+    boundary = np.asarray(boundary, dtype=np.int64).reshape(-1, 2)
+    degree = np.bincount(boundary.ravel(), minlength=len(points))
+    rim = degree > 0
+    full = angle == _FULL_TURN
+    bad = (angle > _FULL_TURN) | (rim & full) | (~rim & ~full)
+    if bad.any():
+        v = int(np.argmax(bad))
+        units = int(angle[v])
         if units > _FULL_TURN:
             return f"angle sum at vertex {points[v]} is {36 * units} degrees"
-        if degree[v]:
-            if units == _FULL_TURN:
-                return f"angle sum at boundary vertex {points[v]} is 360 degrees"
-        elif units != _FULL_TURN:
-            return (f"angle sum at interior vertex {points[v]} is "
-                    f"{36 * units} degrees")
-    for v, d in enumerate(degree):
-        if d not in (0, 2):
-            return f"boundary vertex {points[v]} has {d} boundary edges"
+        if rim[v]:
+            return f"angle sum at boundary vertex {points[v]} is 360 degrees"
+        return f"angle sum at interior vertex {points[v]} is {36 * units} degrees"
+    bad = rim & (degree != 2)
+    if bad.any():
+        v = int(np.argmax(bad))
+        return f"boundary vertex {points[v]} has {degree[v]} boundary edges"
     # Each boundary vertex now has one outgoing and one incoming boundary
     # edge, so the successor map is a permutation: count its cycles.
+    succ = dict(boundary.tolist())
     cycles = 0
     unvisited = set(succ)
     while unvisited:
@@ -511,21 +730,22 @@ def _topology_problem(points: tuple[CycloPoint, ...], angle: list[int],
     return None
 
 
-def _boundary_crossing(points: tuple[CycloPoint, ...], boundary: list[tuple[int, int]],
-                       owner: dict[tuple[int, int], int]) -> str | None:
+def _boundary_crossing(points, boundary: list[list[int]], owners: list[int]) -> str | None:
     """Condition 8 of ``validate_patch``: the first two boundary edges that
-    meet anywhere but a shared endpoint, or overlap along one.
+    meet anywhere but a shared endpoint, or overlap along one.  Each
+    boundary edge is a (p, q) index pair into points, owned by the
+    triangle of the same position in owners.
 
     A sweep in x over exact bounding boxes: 2*Re and Im/sin(36 deg) of the
     endpoints, compared as GoldenInts, limit the exact segment tests to
     edges whose boxes meet.
     """
     boxes = []
-    for edge in boundary:
-        p, q = points[edge[0]], points[edge[1]]
+    for (p, q), i in zip(boundary, owners):
+        p, q = points[p], points[q]
         x0, x1 = sorted((p.real2(), q.real2()))
         y0, y1 = sorted((p.imag_by_sin36(), q.imag_by_sin36()))
-        boxes.append((x0, x1, y0, y1, p, q, owner[edge]))
+        boxes.append((x0, x1, y0, y1, p, q, i))
     boxes.sort(key=lambda box: box[0])
     active: list[tuple] = []
     for box in boxes:

@@ -240,15 +240,15 @@ class TestOrphanVertex:
 
 class TestValidateOnce:
     def test_verify_checks_each_shape_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        rule = triangles._shape_problem
+        calls = []  # one entry per triangle row passed to the shape rule
+        rule = triangles._shape_rule
 
-        def counting(*args):
-            calls.append(args)
-            return rule(*args)
+        def counting(kind, chirality, coords):
+            calls.extend(zip(kind, chirality, coords))
+            return rule(kind, chirality, coords)
 
-        monkeypatch.setattr(triangles, "_shape_problem", counting)
-        monkeypatch.setattr(document, "_shape_problem", counting)
+        monkeypatch.setattr(triangles, "_shape_rule", counting)
+        monkeypatch.setattr(document, "_shape_rule", counting)
         tiling = tmp_path / "s3.qtile"
         run(capsys, "deflate", "--seed", "sun", "--steps", "3", "--out", str(tiling))
         calls.clear()

@@ -291,14 +291,15 @@ class TestLineNumbers:
 class TestValidateOnce:
     @pytest.fixture
     def shape_calls(self, monkeypatch):
+        """One entry per triangle row passed to the shape rule."""
         calls = []
-        rule = document._shape_problem
+        rule = document._shape_rule
 
-        def counting(*args):
-            calls.append(args)
-            return rule(*args)
+        def counting(kind, chirality, coords):
+            calls.extend(zip(kind, chirality, coords))
+            return rule(kind, chirality, coords)
 
-        monkeypatch.setattr(document, "_shape_problem", counting)
+        monkeypatch.setattr(document, "_shape_rule", counting)
         return calls
 
     def test_read_to_patch_to_svg_checks_each_shape_once(self, shape_calls):
