@@ -6,10 +6,11 @@ reading them back is lossless.  The writer validates and canonicalizes
 nothing silently: a document must already satisfy the invariants (sorted
 deduplicated vertices, each a triangle corner when there are triangles,
 in-range indices, geometry-consistent chirality, one-line ASCII header
-strings) or writing refuses, and the reader rejects violations.
-The reader also accepts only canonical spellings: it parses the document,
-then compares its input line by line with the writer's output for the
-values read, so write(read(data)) == data for every document it accepts.
+strings) or writing refuses, and the reader rejects violations, naming
+the line.
+The reader also accepts only canonical spellings: it parses each counted
+block in one pass, then compares its input with the writer's output for
+the values read, so write(read(data)) == data for every document it accepts.
 When a file has several faults, the structural ones (a count, a token
 count, an integer, a projection value) are reported before a
 non-canonical spelling.
@@ -18,12 +19,12 @@ non-canonical spelling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import FORMAT_VERSION
-from .exact import CycloPoint
 from .grouping import CompositeKind, CompositeTiling
 from .triangles import Patch, _coord_array, _shape_problem, _shape_rule
 
@@ -69,77 +70,140 @@ class ProjectionMeta:
     box: int
 
 
+# the vertex and triangle lines as %-templates
+_VERTEX = "%d %d %d %d"
+_TRIANGLE = "%s %d %d %d %+d %d"
+_KIND_NAMES = "AO"  # by kind code
+_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
+_GROUP_KINDS = frozenset(k.value for k in CompositeKind)
+
+
 @dataclass(frozen=True)
 class TilingDocument:
+    """One .qtile document.
+
+    A document is stored as arrays.  ``_arrays`` holds the (V, 4) vertex
+    table and one row per triangle: kind (0 "A", 1 "O", -1 unknown), apex,
+    base0, base1, chirality and parent (-1 for none, below -1 out of
+    range).  ``_group_arrays`` holds each group's kind, the G + 1 offsets
+    at which the groups start in a flat array of their triangle indices,
+    and that array.  ``vertices``, ``triangles`` and ``groups`` are the same
+    document as tuples.  A document made from either form builds the other
+    the first time it is read; equality compares the tuples."""
+
     version: int = FORMAT_VERSION
     unit_note: str = UNIT_NOTE
     seed: str = ""
     generation: int = 0
-    vertices: tuple[tuple[int, int, int, int], ...] = ()
-    triangles: tuple[DocTriangle, ...] = ()
-    groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+    # default factories leave no class attribute behind, so that a document
+    # made from arrays reaches __getattr__ for these three
+    vertices: tuple[tuple[int, int, int, int], ...] = field(default_factory=tuple)
+    triangles: tuple[DocTriangle, ...] = field(default_factory=tuple)
+    groups: tuple[tuple[str, tuple[int, ...]], ...] | None = field(
+        default_factory=lambda: None)
     projection: ProjectionMeta | None = None
+
+    @classmethod
+    def _from_arrays(cls, points: np.ndarray, table: np.ndarray, *,
+                     version: int = FORMAT_VERSION, unit_note: str = UNIT_NOTE,
+                     seed: str = "", generation: int = 0,
+                     projection: ProjectionMeta | None = None, **known) -> TilingDocument:
+        """A document given as ``_arrays``.  ``known`` gives ``groups`` or
+        ``_group_arrays``, and may give other fields and cached values
+        (``triangles``, ``_blocks``), which must be exactly what they would
+        compute."""
+        doc = object.__new__(cls)
+        doc.__dict__.update(version=version, unit_note=unit_note, seed=seed,
+                            generation=generation, projection=projection,
+                            _arrays=(points, table), **known)
+        return doc
+
+    def __getattr__(self, name: str):
+        # called only for fields never set: a document made from arrays
+        # builds its tuples on first read
+        if name == "vertices":
+            value = tuple(map(tuple, self._arrays[0].tolist()))
+        elif name == "triangles":
+            table = self._arrays[1]
+            value = _doc_triangles(map(_KIND_NAMES.__getitem__, table[:, 0].tolist()), table)
+        elif name == "groups":
+            value = None
+            if self._group_arrays is not None:
+                kinds, offsets, members = self._group_arrays
+                at, members = offsets.tolist(), members.tolist()
+                value = tuple(zip(kinds, (tuple(members[a:b]) for a, b in zip(at, at[1:]))))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex table and the triangle rows of ``vertices`` and
+        ``triangles``."""
+        rows = [(_KIND_CODES.get(t.kind, -1), t.apex, t.base0, t.base1, t.chirality,
+                 -1 if t.parent is None else t.parent if t.parent >= 0 else -2)
+                for t in self.triangles]
+        return _coord_array(self.vertices).reshape(-1, 4), _ints(rows).reshape(-1, 6)
+
+    @cached_property
+    def _group_arrays(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+        """``groups`` as arrays; None without groups."""
+        return None if self.groups is None else _grouped(self.groups)
+
+    @cached_property
+    def _blocks(self) -> tuple[str, str, str]:
+        """The vertex, triangle and group lines of the text, each block as
+        one string."""
+        points, table = self._arrays
+        rows = table.ravel().tolist()
+        rows[0::6] = map(_KIND_NAMES.__getitem__, rows[0::6])
+        return (_block(_VERTEX, points.ravel().tolist()), _block(_TRIANGLE, rows),
+                "" if self.groups is None else _group_lines(self.groups))
 
     def validate(self) -> None:
         """Raise DocumentError for the first broken invariant.  A document
         is immutable, so the outcome is decided once and replayed."""
         problem = self._problem
         if problem:
-            raise DocumentError(problem)
+            raise DocumentError(problem[0])
 
     @cached_property
-    def _problem(self) -> str | None:
-        if self.version != FORMAT_VERSION:
-            return f"unsupported format version {self.version}"
-        for name, text in (("unit note", self.unit_note), ("seed", self.seed)):
-            if not text.isascii() or "\n" in text:
-                return f"{name} must be one line of ASCII text"
-        vertices = self.vertices
-        if any(v >= w for v, w in zip(vertices, vertices[1:])):
-            return "vertices must be deduplicated and in lexicographic order"
-        if self.triangles:
-            problem = self._triangles_problem()
-            if problem:
-                return problem
-        if self.groups is not None:
-            seen = bytearray(len(self.triangles))
-            valid_kinds = {k.value for k in CompositeKind}
-            for g_index, (kind, indices) in enumerate(self.groups):
-                if kind not in valid_kinds:
-                    return f"group {g_index}: unknown kind {kind!r}"
-                if not indices:
-                    return f"group {g_index}: no triangles"
-                for idx in indices:
-                    if not 0 <= idx < len(self.triangles):
-                        return f"group {g_index}: triangle index {idx} out of range"
-                    if seen[idx]:
-                        return f"group {g_index}: triangle {idx} already grouped"
-                    seen[idx] = 1
-        if self.generation < 0:
-            return "generation must be >= 0"
-        return self.projection and _projection_problem(self.projection)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The vertex table as a (V, 4) array, and one row per triangle:
-        kind (0 "A", 1 "O", -1 unknown), apex, base0, base1, chirality and
-        parent (-1 for none, -2 for a negative one)."""
+    def _problem(self) -> tuple[str, int] | None:
+        """The first broken invariant, and the line of the document's text
+        that holds it."""
         import numpy as np
 
-        def values():
-            for t in self.triangles:
-                yield _KIND_CODES.get(t.kind, -1)
-                yield from (t.apex, t.base0, t.base1, t.chirality)
-                yield -1 if t.parent is None else t.parent if t.parent >= 0 else -2
+        if self.version != FORMAT_VERSION:
+            return f"unsupported format version {self.version}", 1
+        for line, name, text in ((2, "unit note", self.unit_note), (3, "seed", self.seed)):
+            if not text.isascii() or "\n" in text:
+                return f"{name} must be one line of ASCII text", line
+        points, table = self._arrays
+        # each vertex against the next, as tuples: the sign of the first
+        # nonzero coordinate difference, 0 for equal vertices
+        step = points[1:] - points[:-1]
+        first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        unordered = np.flatnonzero(np.sign(first) <= 0)
+        if len(unordered):  # named at the later vertex of the first such pair
+            return ("vertices must be deduplicated and in lexicographic order",
+                    7 + int(unordered[0]))
+        problem = len(table) and self._triangles_problem()
+        if problem:
+            return problem
+        if self._group_arrays is not None:
+            problem = self._groups_problem()
+            if problem:
+                return problem
+        if self.generation < 0:
+            return "generation must be >= 0", 4
+        problem = self.projection and _projection_problem(self.projection)
+        if problem:  # named on the line before 'end'
+            groups = self._group_arrays
+            return problem, 7 + len(points) + len(table) + (groups and 1 + len(groups[0]) or 0)
+        return None
 
-        count = 6 * len(self.triangles)
-        try:
-            table = np.fromiter(values(), dtype=np.int64, count=count)
-        except OverflowError:  # an index beyond int64 is out of range anyway
-            table = np.fromiter(values(), dtype=object, count=count)
-        return _coord_array(self.vertices).reshape(-1, 4), table.reshape(-1, 6)
-
-    def _triangles_problem(self) -> str | None:
+    def _triangles_problem(self) -> tuple[str, int] | None:
         """The first triangle's first problem, then the first vertex that
         no triangle uses.  The structure of every row (kind, indices,
         chirality, parent) is checked on the arrays, then the shape rule
@@ -161,20 +225,70 @@ class TilingDocument:
             i = int(np.argmin(ok))
             t = self.triangles[i]
             a, b, c = (self.vertices[k] for k in at[i].tolist())
-            return f"triangle {i}: {_shape_problem(t.kind, t.chirality, a, b, c)}"
+            return (f"triangle {i}: {_shape_problem(t.kind, t.chirality, a, b, c)}",
+                    7 + n + i)
         if end < n_tris:
-            return f"triangle {end}: {_structure_problem(self.triangles[end], n, n_tris)}"
+            return (f"triangle {end}: "
+                    f"{_structure_problem(self.triangles[end], n, n_tris)}", 7 + n + end)
         # a patch's vertex table is the corners of its triangles, so a
         # document read as a patch keeps its own table (document_to_patch)
         unused = np.flatnonzero(np.bincount(corners.ravel().astype(np.int64),
                                             minlength=n) == 0)
         if len(unused):
-            return f"vertex {unused[0]} is not a corner of any triangle"
+            return f"vertex {unused[0]} is not a corner of any triangle", 6 + int(unused[0])
+        return None
+
+    def _groups_problem(self) -> tuple[str, int] | None:
+        """The first group's first problem.  The groups are screened on the
+        arrays; only groups that fail are walked one at a time."""
+        import numpy as np
+
+        kinds, offsets, members = self._group_arrays
+        n = len(self._arrays[1])
+        if (_GROUP_KINDS.issuperset(kinds) and (np.diff(offsets) > 0).all()
+                and ((members >= 0) & (members < n)).all()
+                and np.bincount(members.astype(np.int64), minlength=n).max(initial=0) <= 1):
+            return None
+        line = 8 + len(self._arrays[0]) + n  # the first group's
+        seen = bytearray(n)
+        for g, (kind, indices) in enumerate(self.groups):
+            if kind not in _GROUP_KINDS:
+                return f"group {g}: unknown kind {kind!r}", line + g
+            if not indices:
+                return f"group {g}: no triangles", line + g
+            for idx in indices:
+                if not 0 <= idx < n:
+                    return f"group {g}: triangle index {idx} out of range", line + g
+                if seen[idx]:
+                    return f"group {g}: triangle {idx} already grouped", line + g
+                seen[idx] = 1
         return None
 
 
-_KIND_NAMES = "AO"  # by kind code
-_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
+def _ints(values: list) -> np.ndarray:
+    """Integers as an int64 array, or as Python ints if one is beyond int64
+    (such an index is out of range anyway)."""
+    import numpy as np
+
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _doc_triangles(kinds: Iterable[str], table: np.ndarray) -> tuple[DocTriangle, ...]:
+    """The triangle rows as DocTriangles of the given kind names."""
+    return tuple(DocTriangle(kind, a, b, c, s, None if p == -1 else p)
+                 for kind, (_, a, b, c, s, p) in zip(kinds, table.tolist()))
+
+
+def _grouped(groups: Sequence[tuple[str, Sequence[int]]]) -> tuple:
+    """Group arrays (see TilingDocument) of (kind, triangle indices) pairs."""
+    import numpy as np
+
+    sizes = [len(indices) for _, indices in groups]
+    return (tuple(kind for kind, _ in groups), np.array([0, *accumulate(sizes)]),
+            _ints(list(chain.from_iterable(indices for _, indices in groups))))
 
 
 def _structure_problem(t: DocTriangle, n_vertices: int, n_triangles: int) -> str | None:
@@ -209,23 +323,25 @@ def write_tiling(doc: TilingDocument) -> bytes:
 
 
 def _lines(doc: TilingDocument):
-    """The document's text line by line: the one formatter, behind the
-    writer and the reader's proof of canonical form."""
+    """The document's text a line at a time, each nonempty counted block as
+    one string of lines: the one formatter, behind the writer and the
+    reader's proof of canonical form."""
+    points, table = doc._arrays
+    vertices, triangles, groups = doc._blocks
     yield f"qtile {doc.version}"
     yield f"unit {doc.unit_note}"
     yield f"seed {doc.seed}"
     yield f"generation {doc.generation}"
-    yield f"vertices {len(doc.vertices)}"
-    for v in doc.vertices:
-        yield " ".join(map(str, v))
-    yield f"triangles {len(doc.triangles)}"
-    for t in doc.triangles:
-        parent = -1 if t.parent is None else t.parent
-        yield f"{t.kind} {t.apex} {t.base0} {t.base1} {t.chirality:+d} {parent}"
-    if doc.groups is not None:
-        yield f"groups {len(doc.groups)}"
-        for kind, indices in doc.groups:
-            yield kind + " " + " ".join(map(str, indices))
+    yield f"vertices {len(points)}"
+    if vertices:
+        yield vertices
+    yield f"triangles {len(table)}"
+    if triangles:
+        yield triangles
+    if doc._group_arrays is not None:
+        yield f"groups {len(doc._group_arrays[0])}"
+        if groups:
+            yield groups
     p = doc.projection
     if p is not None:
         yield "projection " + " ".join(
@@ -234,31 +350,38 @@ def _lines(doc: TilingDocument):
     yield "end"
 
 
-# Parsers of one block line's tokens.  A wrong token count raises
-# TypeError, a bad integer ValueError.
-
-def _vertex(a: str, b: str, c: str, d: str) -> tuple[int, int, int, int]:
-    return int(a), int(b), int(c), int(d)
+def _block(line: str, values: list) -> str:
+    """Lines of the %-template ``line``, filled from values row by row."""
+    return "\n".join([line] * (len(values) // line.count("%"))) % tuple(values)
 
 
-def _triangle(kind: str, apex: str, base0: str, base1: str, chirality: str,
-              parent: str) -> DocTriangle:
-    p = int(parent)
-    return DocTriangle(kind, int(apex), int(base0), int(base1), int(chirality),
-                       None if p == -1 else p)
+def _group_lines(groups: Sequence[tuple[str, Sequence[int]]]) -> str:
+    return "\n".join([kind + " " + " ".join(map(str, indices)) for kind, indices in groups])
 
 
-def _group(kind: str, *indices: str) -> tuple[str, tuple[int, ...]]:
-    return kind, tuple(map(int, indices))
+def _parse_rows(lines: list[str], width: int, ints_from: int) -> list:
+    """The tokens of lines of ``width`` tokens each, flat, the ones from
+    ``ints_from`` on in each line as integers.  Lines are split 1024 at a
+    time, which bounds the token strings alive at once."""
+    values = []
+    for at in range(0, len(lines), 1024):
+        chunk = lines[at:at + 1024]
+        tokens = " ".join(chunk).split()
+        if len(tokens) != width * len(chunk):
+            raise ValueError("a line of another width")
+        for column in range(ints_from, width):
+            tokens[column::width] = map(int, tokens[column::width])
+        values += tokens
+    return values
 
 
 class _Reader:
     def __init__(self, data: bytes):
         try:
-            text = data.decode("ascii")
+            self.text = data.decode("ascii")
         except UnicodeDecodeError as e:
             raise DocumentError(f"not an ascii document: {e}") from None
-        self.lines = text.split("\n")
+        self.lines = self.text.split("\n")
         self.pos = 0
 
     def next(self) -> str:
@@ -280,20 +403,38 @@ class _Reader:
             self.fail(f"{name} must be >= 0")
         return n
 
-    def block(self, n: int, parse, ints_from: int, malformed: str) -> tuple:
-        """The values of the next n lines, each parsed by parse from its
-        tokens, of which the ones from ints_from on are integers."""
-        values = []
-        for _ in range(n):
-            parts = self.next().split()
-            try:
-                values.append(parse(*parts))
-            except TypeError:
-                self.fail(malformed)
-            except ValueError:
+    def block(self, n: int, template: str | None, malformed: str):
+        """The values of the next n lines and the writer's text for them.
+        Each line is of the %-template ``template``, or a group line if it
+        is None.  The block is parsed in one pass; only when that text
+        differs from the input are its lines walked one at a time, to name
+        the first malformed one: one with another token count, or with a
+        token after the leading names ("%s") that is no integer."""
+        width, ints_from = ((template.count("%"), template.count("%s")) if template
+                            else (0, 1))
+        start = self.pos
+        lines = self.lines[start:start + n]
+        self.pos += len(lines)
+        values = text = None
+        try:
+            if len(lines) == n and template:
+                values = _parse_rows(lines, width, ints_from)
+                text = _block(template, values)
+            elif len(lines) == n:
+                values = [(row[0], list(map(int, row[1:]))) for row in map(str.split, lines)]
+                text = _group_lines(values)
+        except (ValueError, IndexError):
+            pass
+        if text != "\n".join(lines):
+            for self.pos, line in enumerate(lines, start + 1):
+                parts = line.split()
+                if len(parts) != width if width else not parts:
+                    self.fail(malformed)
                 for token in parts[ints_from:]:
                     _parse_int(self, token)
-        return tuple(values)
+            if len(lines) < n:
+                self.next()  # the file ends inside the block
+        return values, text
 
 
 def read_tiling(data: bytes) -> TilingDocument:
@@ -314,16 +455,26 @@ def read_tiling(data: bytes) -> TilingDocument:
         r.fail("expected 'seed <name>'")
 
     generation = r.count(r.next(), "generation")
-    vertices = r.block(r.count(r.next(), "vertices"), _vertex, 0,
-                       "vertex must have 4 integer coordinates")
-    triangles = r.block(r.count(r.next(), "triangles"), _triangle, 1,
-                        "triangle must be 'kind apex base0 base1 chirality parent'")
+    coords, vertex_lines = r.block(r.count(r.next(), "vertices"), _VERTEX,
+                                   "vertex must have 4 integer coordinates")
+    points = _coord_array(coords).reshape(-1, 4)
+    rows, triangle_lines = r.block(
+        r.count(r.next(), "triangles"), _TRIANGLE,
+        "triangle must be 'kind apex base0 base1 chirality parent'")
+    kinds = rows[0::6]
+    rows[0::6] = map(_KIND_CODES.get, kinds, repeat(-1))
+    table = _ints(rows).reshape(-1, 6)
+    # an unknown kind's name is kept for validation to report
+    known = {} if _KIND_CODES.keys() >= set(kinds) else {
+        "triangles": _doc_triangles(kinds, table)}
+    del coords, rows, kinds  # the block's Python ints, now in arrays
 
-    groups = None
+    groups, group_lines = None, ""
     projection = None
     line = r.next()
     if line.startswith("groups"):
-        groups = r.block(r.count(line, "groups"), _group, 1, "empty group line")
+        groups, group_lines = r.block(r.count(line, "groups"), None, "empty group line")
+        groups = _grouped(groups)
         line = r.next()
     if line.startswith("projection "):
         parts = line.split()
@@ -344,15 +495,19 @@ def read_tiling(data: bytes) -> TilingDocument:
     if r.lines[r.pos:] != [""]:
         r.fail("'end' must be the last line, ending in one newline")
 
-    doc = TilingDocument(version=version, unit_note=unit_line[5:],
-                         seed=seed_line[5:], generation=generation,
-                         vertices=vertices, triangles=triangles, groups=groups,
-                         projection=projection)
-    for number, (expected, line) in enumerate(zip(_lines(doc), r.lines), 1):
-        if line != expected:
-            raise DocumentError(f"line {number}: not in canonical form: "
-                                f"expected {expected!r}, got {line!r}")
-    doc.validate()
+    doc = TilingDocument._from_arrays(
+        points, table, version=version, unit_note=unit_line[5:], seed=seed_line[5:],
+        generation=generation, projection=projection, _group_arrays=groups,
+        _blocks=(vertex_lines, triangle_lines, group_lines), **known)
+    text = "\n".join(_lines(doc)) + "\n"
+    if text != r.text:
+        for number, (expected, line) in enumerate(zip(text.split("\n"), r.lines), 1):
+            if line != expected:
+                raise DocumentError(f"line {number}: not in canonical form: "
+                                    f"expected {expected!r}, got {line!r}")
+    problem = doc._problem
+    if problem:
+        raise DocumentError(f"line {problem[1]}: {problem[0]}")
     return doc
 
 
@@ -368,18 +523,11 @@ def patch_to_document(patch: Patch,
                       projection: ProjectionMeta | None = None) -> TilingDocument:
     import numpy as np
 
-    doc_tris = tuple(
-        DocTriangle(_KIND_NAMES[k], a, b, c, s, None if p == -1 else p)
-        for k, (a, b, c), s, p in zip(patch.kind.tolist(), patch.corners,
-                                      patch.chirality.tolist(), patch.parent.tolist()))
-    doc = TilingDocument(seed=patch.seed, generation=patch.generation,
-                         vertices=tuple(v.coords() for v in patch.vertices),
-                         triangles=doc_tris, groups=groups, projection=projection)
-    # the arrays that validation would read back from these fields
     points, corners = patch._numbering
-    doc.__dict__["_arrays"] = (points, np.column_stack(
-        (patch.kind, corners, patch.chirality, patch.parent)).reshape(-1, 6))
-    return doc
+    return TilingDocument._from_arrays(
+        points, np.column_stack((patch.kind, corners, patch.chirality, patch.parent)),
+        seed=patch.seed, generation=patch.generation, projection=projection,
+        groups=groups)
 
 
 def document_to_patch(doc: TilingDocument) -> Patch:
@@ -389,16 +537,14 @@ def document_to_patch(doc: TilingDocument) -> Patch:
     import numpy as np
 
     doc.validate()
-    if not doc.triangles:  # projection points are no patch vertices
-        return Patch((), generation=doc.generation, seed=doc.seed)
     points, table = doc._arrays
+    if not len(table):  # projection points are no patch vertices
+        return Patch((), generation=doc.generation, seed=doc.seed)
     corners = table[:, 1:4]
     return Patch._from_arrays(
         points[corners], table[:, 0].astype(np.int8), table[:, 4].astype(np.int8),
         table[:, 5], generation=doc.generation, seed=doc.seed,
-        _numbering=(points, corners),
-        vertices=tuple(CycloPoint(*v) for v in doc.vertices),
-        corners=tuple((t.apex, t.base0, t.base1) for t in doc.triangles))
+        _numbering=(points, corners))
 
 
 def tiling_to_document(tiling: CompositeTiling) -> TilingDocument:

@@ -383,23 +383,18 @@ class _Packing:
         return [obtuse * self.obtuse + p(a) * self.r8 + p(lo) * self.r4 + p(hi)
                 for obtuse, a, lo, hi in parts]
 
-    def frames(self, coords: list[list[int]], obtuse: list[bool]) -> list[list[int]]:
-        """Triangle keys of the patch in each of its five 72-degree
-        rotations; the radix must cover twice the largest |coordinate|."""
-        return [self.frame_keys(coords, obtuse, k) for k in range(5)]
+    def weights(self, k: int) -> tuple[int, int, int, int]:
+        """The packed point of eps^k * z as a linear form in z: the weights
+        (R^3, R^2, R, 1, -(R^3+R^2+R+1)) of the five-term form
+        z0 + ... + z3*eps^3 + 0*eps^4, shifted cyclically by k."""
+        r = self.radix
+        w = (r ** 3, r * r, r, 1, -(r ** 3 + r * r + r + 1))
+        return w[k % 5], w[(k + 1) % 5], w[(k + 2) % 5], w[(k + 3) % 5]
 
     def frame_keys(self, coords: Sequence[Sequence[int]], obtuse: list[bool],
                    k: int) -> list[int]:
-        """Triangle keys of the patch rotated by 72k degrees.
-
-        The packed point of eps^k * z is a fixed linear form in z: its
-        coefficients are the weights (R^3, R^2, R, 1, -(R^3+R^2+R+1)) of
-        the five-term form z0 + ... + z3*eps^3 + 0*eps^4, shifted
-        cyclically by k.
-        """
-        r = self.radix
-        w = (r ** 3, r * r, r, 1, -(r ** 3 + r * r + r + 1))
-        x0, x1, x2, x3 = w[k % 5], w[(k + 1) % 5], w[(k + 2) % 5], w[(k + 3) % 5]
+        """Triangle keys of the patch rotated by 72k degrees."""
+        x0, x1, x2, x3 = self.weights(k)
         r4, r8, top = self.r4, self.r8, self.obtuse
         out = []
         for (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3), o in zip(coords, obtuse):
@@ -412,31 +407,37 @@ class _Packing:
         return out
 
 
-def _canonical_frame(frames: list[list[int]]) -> tuple[list[int], int]:
-    """The frame whose sorted keys are smallest (the first on ties), and the
-    triangle order by key in that frame."""
-    best, k_star = None, 0
-    for k, keys in enumerate(frames):
-        candidate = sorted(keys)
-        if best is None or candidate < best:
-            best, k_star = candidate, k
-    keys = frames[k_star]
-    return sorted(range(len(keys)), key=keys.__getitem__), k_star
-
-
 def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
     """Anchor iteration order from a rotation-canonical frame.
 
     Among the five 72-degree rotations of the patch, take the one whose
-    sorted triangle-key tuple is smallest, and order triangles by their
-    keys in that frame.  Rotating a patch then rotates the order with it,
-    which makes greedy grouping covariant under 72-degree rotation (up to
-    the unavoidable ties of patches that are themselves 5-fold symmetric).
+    sorted triangle-key tuple is smallest (the first on ties), and order
+    triangles by their keys in that frame.  Rotating a patch then rotates
+    the order with it, which makes greedy grouping covariant under 72-degree
+    rotation (up to the unavoidable ties of patches that are themselves
+    5-fold symmetric).  A key is four columns (kind, apex, lower base,
+    upper base), each point packed into one integer; one stable
+    ``np.lexsort`` sorts each frame, and frames compare as their sorted
+    tables, row by row.
     """
-    coords = _triangle_coords(patch)
+    import numpy as np
+
+    coords = patch.coords
     # a rotated coordinate is a coordinate or a difference of two
-    pack = _Packing(2 * _max_abs(coords))
-    return _canonical_frame(pack.frames(coords, _obtuse(patch)))
+    pack = _Packing(2 * max(int(coords.max(initial=0)), -int(coords.min(initial=0))))
+    dtype = np.int64 if pack.r4 < 2 ** 62 else object  # each partial sum < R^4
+    best = None
+    for k in range(5):
+        points = coords @ np.array(pack.weights(k), dtype=dtype)
+        bases = points[:, 1:]
+        table = np.column_stack((patch.kind, points[:, 0], bases.min(axis=1),
+                                 bases.max(axis=1)))
+        order = np.lexsort(table.T[::-1])
+        table = table[order]
+        differ = np.flatnonzero(table != best) if best is not None else None
+        if best is None or len(differ) and table.flat[differ[0]] < best.flat[differ[0]]:
+            best, best_order, k_star = table, order, k
+    return best_order.tolist(), k_star
 
 
 def _obtuse(patch: Patch) -> list[bool]:
@@ -532,12 +533,11 @@ def detect_composites(patch: Patch,
     obtuse = _obtuse(patch)
     chirality = patch.chirality.tolist()
     m = _max_abs(coords)
-    # covers the canonical frames (2m) and every probe: an anchor apex
-    # plus a part offset (m + span)
-    pack = _Packing(max([2 * m] + [m + table.span for _, table in tables]))
-    frames = pack.frames(coords, obtuse)
-    order, k_star = _canonical_frame(frames)
-    index = dict(zip(frames[0], range(n)))
+    # covers the patch (m) and every probe: an anchor apex plus a part
+    # offset (m + span)
+    pack = _Packing(max([m] + [m + table.span for _, table in tables]))
+    order, k_star = _canonical_index_order(patch)
+    index = dict(zip(pack.frame_keys(coords, obtuse, 0), range(n)))
     apex_keys = [pack.point(c) * pack.shift for c in coords]
     claimed = [False] * n
     # isometry iteration order aligned with the canonical frame, so that

@@ -1,8 +1,10 @@
 """The array-backed patch core: deflation against the scalar slot table,
 the vectorised shape rule against the scalar one, coordinates beyond the
-int64 bound, and pipelines that never build a Triangle per triangle."""
+int64 bound, and pipelines that never build a Triangle per triangle, nor a
+DocTriangle or CycloPoint per document line."""
 
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fivefold.cli import main
 from fivefold.document import (
+    DocTriangle,
     DocumentError,
     document_to_patch,
     patch_to_document,
@@ -164,7 +167,7 @@ class TestEmptyGroup:
             write_tiling(doc)
 
     def test_reader_refuses(self, data):
-        with pytest.raises(DocumentError, match="^group 5: no triangles$"):
+        with pytest.raises(DocumentError, match="^line 34: group 5: no triangles$"):
             read_tiling(data)
 
     def test_stats_exits_1(self, data, tmp_path, capsys):
@@ -172,7 +175,7 @@ class TestEmptyGroup:
         path.write_bytes(data)
         assert main(["stats", str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: group 5: no triangles\n"
+        assert captured.err == "error: line 34: group 5: no triangles\n"
         assert captured.out == ""
 
 
@@ -220,3 +223,42 @@ def test_pipelines_build_no_triangle_objects(triangles_built):
     triangles_built.clear()
     assert (sun_rhombs(sun), wheel_setb(wheel)) == svgs
     assert triangles_built == []
+
+
+@pytest.fixture
+def line_objects(monkeypatch):
+    """Count the DocTriangle and CycloPoint objects made inside the calls
+    of the pipelines above into the document and svg layers."""
+    counts = {DocTriangle: 0, CycloPoint: 0}
+    inside = []
+    for cls in counts:
+        def counting(self, *args, init=cls.__init__, cls=cls, **kwargs):
+            counts[cls] += bool(inside)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for name in ("read_tiling", "write_tiling", "document_to_patch", "patch_to_document",
+                 "tiling_to_document", "render_svg"):
+        def layer(*args, call=globals()[name], **kwargs):
+            inside.append(call)
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(sys.modules[__name__], name, layer)
+    return counts
+
+
+def test_pipelines_build_no_object_per_document_line(line_objects):
+    def built(generation: int) -> dict:
+        wheel = write_tiling(patch_to_document(deflate_patch(seed_wheel(), generation)))
+        line_objects.update(dict.fromkeys(line_objects, 0))
+        sun_rhombs(deflate_patch(seed_sun(), generation - 4))
+        wheel_setb(wheel)
+        return dict(line_objects)
+
+    small, large = built(4), built(5)
+    assert small[DocTriangle] == large[DocTriangle] == 0
+    # the overlay factor's points, the same at every size: none per vertex
+    assert small[CycloPoint] == large[CycloPoint] < 50

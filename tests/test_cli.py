@@ -141,7 +141,7 @@ class TestMalformedInput:
             str(tmp_path / a) if a.startswith("out.") else a for a in command[1:]]
         code, _, err = run(capsys, *args)
         assert code == 1
-        assert "error: triangle 0: obtuse ratio broken" in err
+        assert "error: line 38: triangle 0: obtuse ratio broken" in err
         assert not any(tmp_path.glob("out.*"))
 
 
@@ -234,7 +234,7 @@ class TestOrphanVertex:
         tiling.write_text(text.replace("\ntriangles ", "\n50 0 0 0\ntriangles "))
         code, stdout, err = run(capsys, *argv)
         assert code == 1
-        assert err == "error: vertex 16 is not a corner of any triangle\n"
+        assert err == "error: line 22: vertex 16 is not a corner of any triangle\n"
         assert stdout == "" and not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import math
 from dataclasses import replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fivefold import document
 from fivefold.document import (
@@ -17,7 +19,7 @@ from fivefold.document import (
     tiling_to_document,
     write_tiling,
 )
-from fivefold.grouping import SET_B, detect_composites, glue_rhombs, templates
+from fivefold.grouping import RHOMBS, SET_B, detect_composites, glue_rhombs, templates
 from fivefold.projection import LatticeEnumeration, generate_quasilattice
 from fivefold.svg import RenderOptions, render_svg
 from fivefold.triangles import (
@@ -332,24 +334,24 @@ class TestOneVertexTable:
 
     @pytest.fixture
     def table_builds(self, monkeypatch):
-        """Count every computation of Patch.vertices and Patch.corners."""
+        """Count every numbering of a patch's vertices, Patch._numbering;
+        Patch.vertices and Patch.corners are views of it."""
         builds = []
-        for name in ("vertices", "corners"):
-            build = getattr(Patch, name).func
+        build = Patch._numbering.func
 
-            def counting(patch, build=build, name=name):
-                builds.append(name)
-                return build(patch)
+        def counting(patch):
+            builds.append("_numbering")
+            return build(patch)
 
-            prop = cached_property(counting)
-            prop.__set_name__(Patch, name)
-            monkeypatch.setattr(Patch, name, prop)
+        prop = cached_property(counting)
+        prop.__set_name__(Patch, "_numbering")
+        monkeypatch.setattr(Patch, "_numbering", prop)
         return builds
 
     def test_read_pipeline_never_numbers_vertices(self, table_builds):
         sun = deflate_patch(seed_sun(), 3)
         data = write_tiling(patch_to_document(sun))
-        assert sorted(table_builds) == ["corners", "vertices"]
+        assert table_builds == ["_numbering"]
         expected = tiling_to_document(glue_rhombs(sun))
         table_builds.clear()
         patch = document_to_patch(read_tiling(data))
@@ -362,6 +364,63 @@ class TestOneVertexTable:
                                        (0.01, 0.0137, 0.0071), 2.0, 4)
         patch = document_to_patch(doc)
         assert doc.vertices and patch.vertices == () and patch.corners == ()
+
+
+@cache
+def grouped_patch(seed: str, generation: int, policy: str | None):
+    patch = deflate_patch(seed_patch(seed), generation)
+    return patch, policy and detect_composites(patch, {"rhombs": RHOMBS, "setb": SET_B}[policy])
+
+
+def document_from_tuples(patch: Patch, tiling=None) -> TilingDocument:
+    """The document of a patch built from its exact triangles, a tuple at
+    a time: the reference that the array document must equal."""
+    vertices = tuple(sorted({p.coords() for t in patch.triangles for p in t.points()}))
+    number = {v: i for i, v in enumerate(vertices)}
+    triangles = tuple(DocTriangle(t.kind.value, *(number[p.coords()] for p in t.points()),
+                                  t.chirality, t.parent) for t in patch.triangles)
+    groups = tiling and tuple((g.kind.value, g.indices) for g in tiling.groups)
+    return TilingDocument(seed=patch.seed, generation=patch.generation, vertices=vertices,
+                          triangles=triangles, groups=groups)
+
+
+class TestArrayDocument:
+    """A document is stored as arrays; its tuples are views with the old
+    value semantics."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["sun", "wheel", "acute", "obtuse"]), st.integers(0, 6),
+           st.sampled_from([None, "rhombs", "setb"]))
+    def test_round_trip_equals_the_tuple_document(self, seed, generation, policy):
+        patch, tiling = grouped_patch(seed, generation, policy)
+        data = write_tiling(tiling_to_document(tiling) if tiling else patch_to_document(patch))
+        expected = document_from_tuples(patch, tiling)
+        assert write_tiling(read_tiling(data)) == data == write_tiling(expected)
+        assert read_tiling(data) == expected
+
+    def test_constructor_replace_and_equality_keep_their_meaning(self):
+        doc = read_tiling(write_tiling(tiling_to_document(glue_rhombs(seed_wheel()))))
+        built = TilingDocument(vertices=doc.vertices, triangles=doc.triangles,
+                               groups=doc.groups, seed=doc.seed)
+        assert built == doc and hash(built) == hash(doc) and built != replace(doc, seed="x")
+        more = replace(doc, vertices=doc.vertices + ((50, 0, 0, 0),))
+        assert more.vertices[-1] == (50, 0, 0, 0) and more != doc
+        assert more.triangles == doc.triangles and more.groups == doc.groups
+        with pytest.raises(DocumentError, match=f"^vertex {len(doc.vertices)} is not a corner"):
+            write_tiling(more)
+
+    @pytest.mark.parametrize("seed,policy,options,digest", [
+        ("sun", "rhombs", RenderOptions(atoms=True),
+         "ec66c2ecdba74a5f43eae736d502ed2e12c63e6cbb1aaa21f9e4943ed2871add"),
+        ("wheel", "setb", RenderOptions(atoms=True, overlay=(2, 1)),
+         "94931aa688d76b4c6a35fc39c1224d678bb272ff6bfefc2597d248972b9ac61d"),
+    ], ids=["sun4-rhombs", "wheel4-setb"])
+    def test_svg_digest_unchanged(self, seed, policy, options, digest):
+        # recorded with the renderer that built one CycloPoint per vertex
+        patch = deflate_patch(seed_patch(seed), 4)
+        tiling = glue_rhombs(patch) if policy == "rhombs" else detect_composites(patch, SET_B)
+        svg = render_svg(tiling_to_document(tiling), options)
+        assert hashlib.sha256(svg).hexdigest() == digest
 
 
 def sun1_with_orphan() -> TilingDocument:
@@ -383,7 +442,8 @@ class TestEveryVertexIsACorner:
             write_tiling(sun1_with_orphan())
 
     def test_reader_refuses_an_orphan_vertex(self):
-        with pytest.raises(DocumentError, match="^vertex 16 is not a corner of any triangle$"):
+        with pytest.raises(DocumentError,
+                           match="^line 22: vertex 16 is not a corner of any triangle$"):
             read_tiling(orphan_file())
 
     def test_vertices_without_triangles_allowed(self):
