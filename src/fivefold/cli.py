@@ -177,7 +177,7 @@ def _cmd_deflate(args) -> int:
     doc = patch_to_document(patch)
     with open(args.out, "wb") as f:
         f.write(write_tiling(doc))
-    print(f"wrote {args.out}: {len(patch.triangles)} triangles, "
+    print(f"wrote {args.out}: {len(patch)} triangles, "
           f"{len(patch.vertices)} vertices", file=sys.stderr)
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_verify(args) -> int:
     if not report.ok:
         print(f"INVALID: {report.first()}", file=sys.stderr)
         return 1
-    print(f"ok: {len(patch.triangles)} triangles, generation {patch.generation}",
+    print(f"ok: {len(patch)} triangles, generation {patch.generation}",
           file=sys.stderr)
     return 0
 

@@ -225,6 +225,17 @@ def test_pipelines_build_no_triangle_objects(triangles_built):
     assert triangles_built == []
 
 
+def test_cli_verify_builds_no_triangle_objects(triangles_built, tmp_path, capsys):
+    path = tmp_path / "sun4.qtile"
+    assert main(["deflate", "--seed", "sun", "--steps", "4", "--out", str(path)]) == 0
+    count = len(deflate_patch(seed_sun(), 4))
+    capsys.readouterr()
+    triangles_built.clear()
+    assert main(["verify", str(path)]) == 0
+    assert triangles_built == []
+    assert capsys.readouterr().err == f"ok: {count} triangles, generation 4\n"
+
+
 @pytest.fixture
 def line_objects(monkeypatch):
     """Count the DocTriangle and CycloPoint objects made inside the calls
