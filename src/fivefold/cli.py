@@ -178,7 +178,7 @@ def _cmd_deflate(args) -> int:
     with open(args.out, "wb") as f:
         f.write(write_tiling(doc))
     print(f"wrote {args.out}: {len(patch)} triangles, "
-          f"{len(patch.vertices)} vertices", file=sys.stderr)
+          f"{len(patch._numbering[0])} vertices", file=sys.stderr)
     return 0
 
 

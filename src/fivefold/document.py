@@ -208,7 +208,7 @@ class TilingDocument:
         no triangle uses.  The structure of every row (kind, indices,
         chirality, parent) is checked on the arrays, then the shape rule
         screens the rows before the first bad one; only the first failing
-        row is checked again one at a time, for its message."""
+        row is built and checked again, for its message."""
         import numpy as np
 
         points, table = self._arrays
@@ -223,13 +223,13 @@ class TilingDocument:
         ok = _shape_rule(kind[:end], chirality[:end], points[at])
         if not ok.all():
             i = int(np.argmin(ok))
-            t = self.triangles[i]
-            a, b, c = (self.vertices[k] for k in at[i].tolist())
-            return (f"triangle {i}: {_shape_problem(t.kind, t.chirality, a, b, c)}",
-                    7 + n + i)
-        if end < n_tris:
-            return (f"triangle {end}: "
-                    f"{_structure_problem(self.triangles[end], n, n_tris)}", 7 + n + end)
+            problem = _shape_problem(_KIND_NAMES[kind[i]], int(chirality[i]),
+                                     *points[at[i]].tolist())
+            return f"triangle {i}: {problem}", 7 + n + i
+        if end < n_tris:  # the tuple holds what the arrays cannot: a kind's name
+            t = (self.triangles[end] if "triangles" in self.__dict__
+                 else _doc_triangles([_KIND_NAMES[kind[end]]], table[end:end + 1])[0])
+            return f"triangle {end}: {_structure_problem(t, n, n_tris)}", 7 + n + end
         # a patch's vertex table is the corners of its triangles, so a
         # document read as a patch keeps its own table (document_to_patch)
         unused = np.flatnonzero(np.bincount(corners.ravel().astype(np.int64),

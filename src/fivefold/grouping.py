@@ -373,10 +373,10 @@ class _Packing:
         self.obtuse = self.r8 * self.r4        # the kind digit
         self.shift = self.r8 + self.r4 + 1     # translation multiplier
 
-    def point(self, z: Sequence[int], at: int = 0) -> int:
-        """The point with coordinates z[at:at + 4]."""
+    def point(self, z: Sequence[int]) -> int:
+        """The point with coordinates z."""
         r = self.radix
-        return ((z[at] * r + z[at + 1]) * r + z[at + 2]) * r + z[at + 3]
+        return ((z[0] * r + z[1]) * r + z[2]) * r + z[3]
 
     def parts(self, parts: tuple[_Part, ...]) -> list[int]:
         p = self.point

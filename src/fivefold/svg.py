@@ -2,8 +2,9 @@
 
 Output is assembled by plain string formatting with six-decimal
 coordinates; identical documents and options give bit-identical bytes.
-When the document carries groups, each group is drawn as one merged
-polygon in its kind's palette colour, otherwise one polygon per triangle.
+When the document carries groups, each group is drawn as one polygon per
+loop of its rim in its kind's palette colour, otherwise one polygon per
+triangle; rims and the overlay's exact scaling come from ``triangles``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .exact import _COSK, _SINK, EPS, PHI, TAU_C, CycloPoint
+from .exact import _COSK, _SINK, EPS, PHI, TAU_C
 from .document import DocumentError, TilingDocument
+from .triangles import _loops, _rim, _times
 
 if TYPE_CHECKING:  # numpy is imported at first use
     import numpy as np
@@ -35,6 +37,7 @@ PALETTE = {
     "A": "#b8b8b8",
     "O": "#8e8e8e",
 }
+_MARGIN = 0.5  # around the vertices, in edge units
 _EDGE = "#303030"
 _ATOM = "#111111"
 _OVERLAY = "#c2185b"
@@ -45,7 +48,6 @@ class RenderOptions:
     scale: float = 100.0
     atoms: bool = False
     overlay: tuple[int, int] | None = None  # (tau exponent, 72-degree steps)
-    margin: float = 0.5
 
 
 def _fmt(x: float) -> str:
@@ -54,51 +56,25 @@ def _fmt(x: float) -> str:
 
 
 def _group_outlines(doc: TilingDocument) -> list[tuple[str, list[int]]]:
-    """Each group's boundary loops as vertex-index cycles, with its colour.
-
-    Each triangle contributes its directed boundary (counterclockwise by
-    chirality); interior edges cancel in pairs, the rest chain into loops.
-    They fail to close only where triangles lie on the same side of an edge.
-    The directed edges of every group pack as (group, tail, head) into one
-    sorted array of distinct keys, which finds the edges with no reverse in
-    their group and orders each group's boundary by tail, then head.
-    """
+    """Each group's boundary loops as vertex-index cycles, with its colour:
+    the rim edges of its triangles (``_rim``), walked by ``_loops``.  They
+    fail to close only where triangles lie on the same side of an edge."""
     import numpy as np
 
     points, table = doc._arrays
     kinds, offsets, members = doc._group_arrays
-    v = len(points)
     rows = table[members]
-    ccw = np.where((rows[:, 4] == 1)[:, None], rows[:, 1:4], rows[:, [1, 3, 2]])
-    group = np.repeat(np.arange(len(kinds)), 3 * np.diff(offsets))
-    dtype = np.int64 if len(kinds) * v * v < 2 ** 63 else object
-    # return_index makes np.unique sort, where it would hash: its hash
-    # table raised the peak memory
-    keys = np.unique((group.astype(dtype) * v + ccw.ravel()) * v + ccw[:, [1, 2, 0]].ravel(),
-                     return_index=True)[0]
-    g, tail, head = keys // (v * v), keys // v % v, keys % v
-    back = (g * v + head) * v + tail
-    rim = keys[np.minimum(np.searchsorted(keys, back), len(keys) - 1)] != back
-    ends = np.searchsorted(g[rim], np.arange(len(kinds) + 1)).tolist()
-    tail, head = tail[rim].tolist(), head[rim].tolist()
-    loops = []
-    for index, (kind, a, b) in enumerate(zip(kinds, ends, ends[1:])):
-        outgoing: dict[int, list[int]] = {}
-        for t, h in zip(tail[a:b], head[a:b]):
-            outgoing.setdefault(t, []).append(h)
-        # each walk leaves a vertex by its smallest unused boundary edge
-        for start, exits in outgoing.items():
-            while exits:
-                loop = [start]
-                cur = exits.pop(0)
-                while cur != start:
-                    if not outgoing.get(cur):
-                        raise DocumentError(f"group {index}: outline does not close; "
-                                            f"its triangles overlap")
-                    loop.append(cur)
-                    cur = outgoing[cur].pop(0)
-                loops.append((PALETTE[kind], loop))
-    return loops
+    group = np.repeat(np.arange(len(kinds)), np.diff(offsets))
+    tail, head, twice, rim = _rim(rows[:, 1:4], rows[:, 4], len(points), group)
+    if twice:
+        raise DocumentError(f"group {group[twice[0] // 3]}: outline does not close; "
+                            f"its triangles overlap")
+    g, tail, head = group[rim // 3], tail[rim], head[rim]
+    order = np.lexsort((head, tail, g))
+    ends = np.searchsorted(g[order], np.arange(len(kinds) + 1)).tolist()
+    tail, head = tail[order].tolist(), head[order].tolist()
+    return [(PALETTE[kind], loop) for kind, a, b in zip(kinds, ends, ends[1:])
+            for loop in _loops(tail[a:b], head[a:b])]
 
 
 _BEYOND = "SVG coordinates beyond the float range"
@@ -118,19 +94,6 @@ def _embed(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(float), y.astype(float)
 
 
-def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
-    """Each point times factor, exactly: a 4x4 integer matrix whose rows
-    are the images eps^j * factor of the basis, on Python ints (dtype
-    object) where int64 could overflow."""
-    import numpy as np
-
-    matrix = [(EPS ** j * factor).coords() for j in range(4)]
-    bound = (4 * max(abs(c) for row in matrix for c in row)
-             * max(int(points.max()), -int(points.min())))
-    dtype = np.int64 if bound < 2 ** 63 else object
-    return points.astype(dtype) @ np.array(matrix, dtype=dtype)
-
-
 def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) -> bytes:
     import numpy as np
 
@@ -139,8 +102,8 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
     points, table = doc._arrays
     x, y = _embed(points)
     if len(points):
-        lo_x, hi_x = float(x.min()) - options.margin, float(x.max()) + options.margin
-        lo_y, hi_y = float(y.min()) - options.margin, float(y.max()) + options.margin
+        lo_x, hi_x = float(x.min()) - _MARGIN, float(x.max()) + _MARGIN
+        lo_y, hi_y = float(y.min()) - _MARGIN, float(y.max()) + _MARGIN
     else:
         lo_x, hi_x, lo_y, hi_y = -1.0, 1.0, -1.0, 1.0
     width = (hi_x - lo_x) * scale

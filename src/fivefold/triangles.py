@@ -18,21 +18,24 @@ Lengths are in edge units: the acute base has squared length 1, every leg
 tau^2, the obtuse base tau^4.
 
 A ``Patch`` is stored as arrays (coordinates, kind, chirality, parent), and
-deflation, vertex numbering and validation run on them; ``Triangle`` is the
-exact object form of one triangle, built on request.  numpy is imported at
-first use, so importing this module does not load it.
+deflation, vertex numbering, validation and homothety run on them;
+``Triangle`` is the exact object form of one triangle, built on request.
+The rim of a set of triangles (``_rim``, ``_loops``) and exact products
+with a point (``_times``) are decided here alone, for the SVG layer too.
+numpy is imported at first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .exact import (
     EPS,
     EPS1,
+    ONE,
     TAU_C,
     ZERO,
     CycloPoint,
@@ -67,7 +70,7 @@ __all__ = [
     "patch_area",
 ]
 
-INV_TAU = GoldenInt(-1, 1)  # 1/tau = tau - 1
+INV_TAU = TAU_C - ONE  # 1/tau = tau - 1
 
 
 class TriangleKind(Enum):
@@ -445,14 +448,24 @@ def deflate_patch(patch: Patch, steps: int, jobs: int = 1) -> Patch:
     return out
 
 
-@cache
-def _inv_tau_matrix() -> np.ndarray:
-    """The 4x4 integer matrix of multiplication by 1/tau: row k is the
-    image of the k-th basis point, so z / tau = z @ matrix."""
+@lru_cache(maxsize=8)
+def _matrix(factor: CycloPoint) -> tuple[tuple[int, ...], ...]:
+    """The 4x4 integer matrix of multiplication by factor: row j is
+    eps^j * factor, so z * factor = z @ matrix."""
+    return tuple((EPS ** j * factor).coords() for j in range(4))
+
+
+def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
+    """Each point times factor, exactly, for points given as coordinate
+    rows (the last axis): in int64 where no sum of products can overflow
+    it, else on Python ints (dtype object)."""
     import numpy as np
 
-    basis = (CycloPoint(1, 0, 0, 0), EPS, EPS * EPS, EPS * EPS * EPS)
-    return np.array([(e * INV_TAU).coords() for e in basis], dtype=np.int64)
+    matrix = np.array(_matrix(factor), dtype=object)
+    reach = max(1, int(points.max(initial=0)), -int(points.min(initial=0)))
+    if 4 * int(abs(matrix).max()) * reach < 2 ** 63:
+        return points.astype(np.int64) @ matrix.astype(np.int64)
+    return points.astype(object) @ matrix
 
 
 def _deflate_arrays(coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray):
@@ -467,12 +480,11 @@ def _deflate_arrays(coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray)
     out = np.empty((total, 3, 4), dtype=coords.dtype)
     out_kind = np.empty(total, dtype=np.int8)
     out_chirality = np.empty(total, dtype=np.int8)
-    m = _inv_tau_matrix()
     for code, parent_kind in enumerate(_KINDS):
         rows = np.flatnonzero(kind == code)
         points = [coords[rows, k] for k in range(3)]
         for i, j in _SPLITS[parent_kind]:
-            points.append(points[i] + (points[j] - points[i]) @ m)
+            points.append(points[i] + _times(points[j] - points[i], INV_TAU))
         for slot, (child_kind, (a, b, c), sign) in enumerate(_SLOTS[parent_kind]):
             at = first[rows] + slot
             out[at] = np.stack((points[a], points[b], points[c]), axis=1)
@@ -485,7 +497,7 @@ def _deflate_arrays(coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray)
 def _first_bad_triangle(patch: Patch) -> tuple[int, str] | None:
     """The first triangle of the patch that ``check_triangle`` refuses, and
     its message: the shape rule screens every row, and only the first
-    failing one is checked again one at a time."""
+    failing one is built and checked again."""
     import numpy as np
 
     c = patch.coords
@@ -495,7 +507,8 @@ def _first_bad_triangle(patch: Patch) -> tuple[int, str] | None:
     if ok.all():
         return None
     i = int(np.argmin(ok))
-    return i, check_triangle(patch.triangles[i])
+    row = Patch._from_arrays(*(a[i:i + 1] for a in patch._arrays))  # that triangle alone
+    return i, check_triangle(row.triangles[0])
 
 
 def inflate_patch(patch: Patch, steps: int) -> Patch:
@@ -524,11 +537,11 @@ def homothety_rotation(patch: Patch, tau_exponent: int, rot72_steps: int) -> Pat
     if tau_exponent < 0:
         raise ValueError("tau_exponent must be >= 0")
     factor = TAU_C ** tau_exponent * EPS ** (rot72_steps % 5)
-    tris = tuple(t.transform(lambda p: p * factor) for t in patch.triangles)
-    for before, after in zip(patch.triangles, tris):
-        if after.chirality != before.chirality:
-            raise ArithmeticError("similarity flipped a chirality (internal error)")
-    return Patch(tris, generation=patch.generation, seed=patch.seed)
+    coords = _coord_array(_times(patch.coords, factor))
+    if not _shape_rule(patch.kind, patch.chirality, coords).all():
+        raise ArithmeticError("similarity flipped a chirality (internal error)")
+    return Patch._from_arrays(coords, patch.kind, patch.chirality, patch.parent,
+                              generation=patch.generation, seed=patch.seed)
 
 
 def symmetry_order(points: Iterable[CycloPoint], center: CycloPoint = ZERO) -> int:
@@ -630,16 +643,9 @@ class _Points:
 def validate_disk(patch: Patch) -> PatchReport:
     """Conditions 2-8 of ``validate_patch``, for a patch whose triangles
     are known to hold condition 1, such as one read from a document.
-    It works on the patch's one vertex numbering.
-
-    Each triangle's directed edges run counter-clockwise around it, so the
-    triangle lies to their left; the verified chirality gives the order.
-    A directed edge owned twice has two triangles on the same side.  An
-    edge packs into one integer, its two vertex indices (lower first) and
-    a direction bit; one stable sort of the edges in triangle order puts
-    copies of a directed edge next to each other, the first owner first,
-    and next to them its reverse.  The edges with no reverse are the
-    boundary, kept in triangle order."""
+    It works on the patch's one vertex numbering and the directed edges of
+    ``_rim``: a directed edge owned twice has two triangles on the same
+    side, and the edges with no reverse are the boundary."""
     import numpy as np
 
     n = len(patch)
@@ -647,36 +653,21 @@ def validate_disk(patch: Patch) -> PatchReport:
         return PatchReport(True)
     table, corners = patch._numbering
     points = _Points(table)
-    v = len(table)
-    ccw = np.where((patch.chirality < 0)[:, None], corners[:, [0, 2, 1]], corners)
-    tail = ccw.ravel()
-    head = ccw[:, [1, 2, 0]].ravel()
-    keys = (np.minimum(tail, head) * v + np.maximum(tail, head)) * 2 + (tail > head)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    same = ranked[1:] == ranked[:-1]
-    if same.any():
-        e = int(order[1:][same].min())  # the first edge already owned
-        i, j = e // 3, int(order[np.searchsorted(ranked, keys[e])]) // 3
-        if set(corners[j].tolist()) == set(corners[i].tolist()):
-            problem = f"triangle {i} duplicates triangle {j}"
+    tail, head, twice, rim = _rim(corners, patch.chirality, len(table))
+    if twice:
+        e, j = twice
+        if set(corners[j].tolist()) == set(corners[e // 3].tolist()):
+            problem = f"triangle {e // 3} duplicates triangle {j}"
         else:
-            problem = (f"triangles {[j, i]} lie on the same side of shared "
+            problem = (f"triangles {[j, e // 3]} lie on the same side of shared "
                        f"edge {points[int(tail[e])]}-{points[int(head[e])]}")
         return PatchReport(False, (problem,))
-    paired = (ranked[1:] >> 1) == (ranked[:-1] >> 1)  # an edge and its reverse
-    alone = np.ones(len(keys), dtype=bool)
-    alone[1:] &= ~paired
-    alone[:-1] &= ~paired
-    on_rim = np.empty_like(alone)
-    on_rim[order] = alone
-    rim = np.flatnonzero(on_rim)
     boundary = np.stack((tail[rim], head[rim]), axis=1)
-    angle = np.bincount(corners.ravel(), minlength=v,
+    angle = np.bincount(corners.ravel(), minlength=len(table),
                         weights=np.array(_CORNER_UNITS)[patch.kind].ravel())
 
     problems = []
-    n_edges = (len(keys) + len(rim)) // 2
+    n_edges = (len(tail) + len(rim)) // 2
     topology = _topology_problem(points, angle.astype(np.int64), boundary, n_edges, n)
     if topology:
         problems.append(f"{topology}: not a disk")
@@ -684,6 +675,59 @@ def validate_disk(patch: Patch) -> PatchReport:
     if crossing:
         problems.append(crossing)
     return PatchReport(not problems, tuple(problems))
+
+
+def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group=0):
+    """The directed edges of triangles (rows of vertex indices below v),
+    and the rim of each group of triangles (all in group 0 by default).
+
+    Edge k of triangle i runs from its corner k to the next, counter-
+    clockwise by the chirality, so the triangle lies to its left; it is at
+    position 3i + k of the tail and head arrays.  One stable sort of the
+    edges packed as (group, lower vertex, upper vertex, direction) puts the
+    copies of a directed edge side by side, first owner first, next to its
+    reverse.  Returns tail, head, the first edge owned twice as (position,
+    first owner) or None, and the positions, in order, of the rim: the
+    edges whose reverse no triangle of their group owns."""
+    import numpy as np
+
+    ccw = np.where((chirality < 0)[:, None], corners[:, [0, 2, 1]], corners)
+    tail = ccw.ravel()
+    head = ccw[:, [1, 2, 0]].ravel()
+    group = np.repeat(group, 3) if np.ndim(group) else group
+    dtype = np.int64 if 2 * (int(np.max(group)) + 1) * v * v < 2 ** 63 else object
+    keys = ((group * v + np.minimum(tail, head)).astype(dtype) * v
+            + np.maximum(tail, head)) * 2 + (tail > head)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
+    twice = None
+    if same.any():
+        e = int(order[1:][same].min())  # the first edge already owned
+        twice = e, int(order[np.searchsorted(ranked, keys[e])]) // 3
+    # whether each sorted edge and the next are an edge and its reverse
+    paired = np.append((ranked[1:] >> 1) == (ranked[:-1] >> 1), False)
+    return tail, head, twice, np.sort(order[~(paired | np.roll(paired, 1))])
+
+
+def _loops(tail: list[int], head: list[int]) -> list[list[int]]:
+    """The closed walks over directed edges, given sorted by (tail, head),
+    in which every vertex has as many exits as entries, as vertex lists.
+    Each walk starts at the smallest vertex with an unused exit and leaves
+    every vertex by its smallest unused exit."""
+    # each vertex's next unused exit, as a position in the edges
+    at = dict(zip(reversed(tail), range(len(tail) - 1, -1, -1)))
+    tail = [*tail, None]  # no walk leaves the end of the edges
+    loops = []
+    for start in tail[:-1]:
+        while tail[at[start]] == start:
+            loop, v = [], start
+            while not loop or v != start:
+                loop.append(v)
+                at[v] += 1
+                v = head[at[v] - 1]
+            loops.append(loop)
+    return loops
 
 
 def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> str | None:
@@ -710,18 +754,8 @@ def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> st
     if bad.any():
         v = int(np.argmax(bad))
         return f"boundary vertex {points[v]} has {degree[v]} boundary edges"
-    # Each boundary vertex now has one outgoing and one incoming boundary
-    # edge, so the successor map is a permutation: count its cycles.
-    succ = dict(boundary.tolist())
-    cycles = 0
-    unvisited = set(succ)
-    while unvisited:
-        start = unvisited.pop()
-        v = succ[start]
-        while v != start:
-            unvisited.remove(v)
-            v = succ[v]
-        cycles += 1
+    # each boundary vertex now has one exit and one entry
+    cycles = len(_loops(*boundary[np.lexsort(boundary.T[::-1])].T.tolist()))
     if cycles != 1:
         return f"boundary edges form {cycles} cycles"
     chi = len(points) - n_edges + n_faces

@@ -38,6 +38,7 @@ from fivefold.triangles import (
     _shape_problem,
     _shape_rule,
     deflate_patch,
+    homothety_rotation,
     seed_patch,
     seed_sun,
     seed_wheel,
@@ -236,6 +237,49 @@ def test_cli_verify_builds_no_triangle_objects(triangles_built, tmp_path, capsys
     assert capsys.readouterr().err == f"ok: {count} triangles, generation 4\n"
 
 
+def test_a_bad_triangle_is_named_from_its_row_alone(triangles_built):
+    sun = deflate_patch(seed_sun(), 4)
+    coords, kind, chirality, parent = sun._arrays
+    flipped = chirality.copy()
+    flipped[100] = -flipped[100]
+    triangles_built.clear()
+    report = validate_patch(Patch._from_arrays(coords, kind, flipped, parent))
+    assert triangles_built == [1]
+    assert report.problems == (f"triangle 100: stored chirality {flipped[100]} "
+                               f"contradicts geometry ({chirality[100]})",)
+
+
+def test_homothety_builds_no_triangle_objects(triangles_built):
+    sun = deflate_patch(seed_sun(), 4)
+    triangles_built.clear()
+    turned = homothety_rotation(sun, 2, 1)
+    assert triangles_built == []
+    assert validate_patch(turned).ok and turned.parent.tolist() == sun.parent.tolist()
+
+
+def test_cli_deflate_counts_vertices_without_points(monkeypatch, tmp_path, capsys):
+    built = []
+    init = CycloPoint.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def deflate(steps: int) -> int:
+        path = tmp_path / f"sun{steps}.qtile"
+        patch = deflate_patch(seed_sun(), steps)
+        monkeypatch.setattr(CycloPoint, "__init__", counting)
+        built.clear()
+        assert main(["deflate", "--seed", "sun", "--steps", str(steps), "--out", str(path)]) == 0
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            f"wrote {path}: {len(patch)} triangles, {len(patch.vertices)} vertices\n")
+        return len(built)
+
+    deflate(3)  # fills the cached matrix of 1/tau
+    assert deflate(4) == deflate(5)
+
+
 @pytest.fixture
 def line_objects(monkeypatch):
     """Count the DocTriangle and CycloPoint objects made inside the calls
@@ -273,3 +317,23 @@ def test_pipelines_build_no_object_per_document_line(line_objects):
     assert small[DocTriangle] == large[DocTriangle] == 0
     # the overlay factor's points, the same at every size: none per vertex
     assert small[CycloPoint] == large[CycloPoint] < 50
+
+
+@pytest.mark.parametrize("column,value,message,doc_triangles", [
+    (4, "-1", "stored chirality -1 contradicts geometry (1)", 0),
+    (5, "9999", "parent index 9999 out of range", 1),
+], ids=["shape", "structure"])
+def test_a_bad_line_builds_no_object_per_line(line_objects, column, value, message,
+                                                doc_triangles):
+    """Only the bad triangle's row is built, and only when its message needs
+    a DocTriangle."""
+    lines = write_tiling(patch_to_document(deflate_patch(seed_sun(), 5))).decode().split("\n")
+    first = lines.index("triangles 890") + 1
+    at = next(k for k in range(first, len(lines)) if lines[k].split()[4] == "+1")
+    fields = lines[at].split()
+    fields[column] = value
+    lines[at] = " ".join(fields)
+    with pytest.raises(DocumentError, match=re.escape(
+            f"line {at + 1}: triangle {at - first}: {message}")):
+        read_tiling("\n".join(lines).encode())
+    assert line_objects == {DocTriangle: doc_triangles, CycloPoint: 0}

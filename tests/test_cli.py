@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,15 @@ from fivefold.document import (
     tiling_to_document,
     write_tiling,
 )
-from fivefold.grouping import CompositeKind, CompositeTiling, Group
-from fivefold.triangles import Patch, canonical_acute, canonical_obtuse, homothety_rotation
+from fivefold.grouping import CompositeKind, CompositeTiling, Group, glue_rhombs
+from fivefold.triangles import (
+    Patch,
+    canonical_acute,
+    canonical_obtuse,
+    deflate_patch,
+    homothety_rotation,
+    seed_sun,
+)
 
 
 def run(capsys, *argv):
@@ -156,6 +164,22 @@ class TestRenderRefuses:
         code, _, err = run(capsys, "render", str(path), "--svg", str(svg))
         assert code == 1
         assert "error: group 0: outline does not close" in err
+        assert not svg.exists()
+
+    def test_doubled_group_exits_1(self, tmp_path, capsys):
+        # a thin rhomb whose two halves each appear twice: every directed
+        # edge of the group is owned twice, though the rim still closes
+        patch = deflate_patch(seed_sun(), 1)
+        kind, (i, j) = next((g.kind, g.indices) for g in glue_rhombs(patch).groups
+                            if g.kind is CompositeKind.THIN_RHOMB)
+        halves = tuple(replace(patch.triangles[k], parent=None) for k in (i, j)) * 2
+        tiling = CompositeTiling(Patch(halves), (Group(kind, (0, 1, 2, 3)),))
+        path = tmp_path / "doubled.qtile"
+        path.write_bytes(write_tiling(tiling_to_document(tiling)))
+        svg = tmp_path / "doubled.svg"
+        code, _, err = run(capsys, "render", str(path), "--svg", str(svg))
+        assert code == 1
+        assert err == "error: group 0: outline does not close; its triangles overlap\n"
         assert not svg.exists()
 
     @pytest.mark.parametrize("exponent", ["1470", "1476"])

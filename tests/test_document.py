@@ -19,7 +19,16 @@ from fivefold.document import (
     tiling_to_document,
     write_tiling,
 )
-from fivefold.grouping import RHOMBS, SET_B, detect_composites, glue_rhombs, templates
+from fivefold.grouping import (
+    RHOMBS,
+    SET_B,
+    CompositeKind,
+    CompositeTiling,
+    Group,
+    detect_composites,
+    glue_rhombs,
+    templates,
+)
 from fivefold.projection import LatticeEnumeration, generate_quasilattice
 from fivefold.svg import RenderOptions, render_svg
 from fivefold.triangles import (
@@ -421,6 +430,20 @@ class TestArrayDocument:
         tiling = glue_rhombs(patch) if policy == "rhombs" else detect_composites(patch, SET_B)
         svg = render_svg(tiling_to_document(tiling), options)
         assert hashlib.sha256(svg).hexdigest() == digest
+
+    def test_svg_of_groups_meeting_at_a_vertex_unchanged(self):
+        # the sun's centre has two boundary exits in the first two groups;
+        # each walk leaves a vertex by its smallest unused exit, which
+        # closes the first walk at the centre and splits each group in two
+        groups = (Group(CompositeKind.DELTOID, (0, 2)), Group(CompositeKind.BOAT, (1, 3, 4)),
+                  Group(CompositeKind.PENTAGRAM, (5, 6, 7, 8, 9)))
+        doc = tiling_to_document(CompositeTiling(seed_sun(), groups))
+        svg = render_svg(doc, RenderOptions(atoms=True, overlay=(1, 2)))
+        assert svg.count(b"<polygon") == 2 * 5
+        # recorded with the renderer's own loop walk, before it shared
+        # the validator's
+        assert hashlib.sha256(svg).hexdigest() == (
+            "940b1023125c5f905069e4279420647fee844c73aed33eb6e5cc580ee9ab7c5f")
 
 
 def sun1_with_orphan() -> TilingDocument:

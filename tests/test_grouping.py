@@ -305,12 +305,11 @@ class TestPacking:
         assert (pack.point(u) < pack.point(v)) == (u < v)
         assert (pack.point(u) == pack.point(v)) == (u == v)
 
-    @given(small_coords, small_coords, small_coords)
-    def test_packing_is_linear(self, u, v, w):
+    @given(small_coords, small_coords)
+    def test_packing_is_linear(self, u, v):
         pack = _Packing(40)
         s = tuple(a + b for a, b in zip(u, v))
         assert pack.point(s) == pack.point(u) + pack.point(v)
-        assert pack.point(u + v + w, 4) == pack.point(v)
 
     @given(st.lists(st.tuples(st.booleans(), small_coords, small_coords, small_coords),
                     min_size=1, max_size=4), st.integers(0, 4))
