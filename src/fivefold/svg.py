@@ -69,12 +69,13 @@ def _group_outlines(doc: TilingDocument) -> list[tuple[str, list[int]]]:
     if twice:
         raise DocumentError(f"group {group[twice[0] // 3]}: outline does not close; "
                             f"its triangles overlap")
-    g, tail, head = group[rim // 3], tail[rim], head[rim]
-    order = np.lexsort((head, tail, g))
-    ends = np.searchsorted(g[order], np.arange(len(kinds) + 1)).tolist()
-    tail, head = tail[order].tolist(), head[order].tolist()
-    return [(PALETTE[kind], loop) for kind, a, b in zip(kinds, ends, ends[1:])
-            for loop in _loops(tail[a:b], head[a:b])]
+    v = len(points)
+    dtype = np.int64 if len(kinds) * v * v < 2 ** 63 else object
+    g, tail, head = group[rim // 3].astype(dtype) * v, tail[rim], head[rim]
+    # one walk for all groups: vertex u of group k is k * v + u
+    order = np.argsort((g + tail) * v + head)
+    loops = _loops((g + tail)[order].tolist(), (g + head)[order].tolist())
+    return [(PALETTE[kinds[loop[0] // v]], [u % v for u in loop]) for loop in loops]
 
 
 _BEYOND = "SVG coordinates beyond the float range"

@@ -721,11 +721,12 @@ def _loops(tail: list[int], head: list[int]) -> list[list[int]]:
     loops = []
     for start in tail[:-1]:
         while tail[at[start]] == start:
-            loop, v = [], start
-            while not loop or v != start:
+            loop, v = [start], head[at[start]]
+            at[start] += 1
+            while v != start:
                 loop.append(v)
-                at[v] += 1
-                v = head[at[v] - 1]
+                at[v] = k = at[v] + 1
+                v = head[k - 1]
             loops.append(loop)
     return loops
 
