@@ -57,8 +57,8 @@ def _fmt(x: float) -> str:
 
 def _group_outlines(doc: TilingDocument) -> list[tuple[str, list[int]]]:
     """Each group's boundary loops as vertex-index cycles, with its colour:
-    the rim edges of its triangles (``_rim``), walked by ``_loops``.  They
-    fail to close only where triangles lie on the same side of an edge."""
+    the rim edges of its triangles (``_rim``), walked by ``_loops``.  A
+    group with a directed edge owned twice is refused."""
     import numpy as np
 
     points, table = doc._arrays
@@ -69,13 +69,8 @@ def _group_outlines(doc: TilingDocument) -> list[tuple[str, list[int]]]:
     if twice:
         raise DocumentError(f"group {group[twice[0] // 3]}: outline does not close; "
                             f"its triangles overlap")
-    v = len(points)
-    dtype = np.int64 if len(kinds) * v * v < 2 ** 63 else object
-    g, tail, head = group[rim // 3].astype(dtype) * v, tail[rim], head[rim]
-    # one walk for all groups: vertex u of group k is k * v + u
-    order = np.argsort((g + tail) * v + head)
-    loops = _loops((g + tail)[order].tolist(), (g + head)[order].tolist())
-    return [(PALETTE[kinds[loop[0] // v]], [u % v for u in loop]) for loop in loops]
+    loops = _loops(tail[rim], head[rim], group[rim // 3])
+    return [(PALETTE[kinds[g]], loop) for g, loop in loops]
 
 
 _BEYOND = "SVG coordinates beyond the float range"

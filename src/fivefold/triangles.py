@@ -456,9 +456,8 @@ def _matrix(factor: CycloPoint) -> tuple[tuple[int, ...], ...]:
 
 
 def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
-    """Each point times factor, exactly, for points given as coordinate
-    rows (the last axis): in int64 where no sum of products can overflow
-    it, else on Python ints (dtype object)."""
+    """Each point (a coordinate row) times factor, exactly: in int64 where
+    no sum of products can overflow it, else on Python ints (dtype object)."""
     import numpy as np
 
     matrix = np.array(_matrix(factor), dtype=object)
@@ -653,7 +652,7 @@ def validate_disk(patch: Patch) -> PatchReport:
         return PatchReport(True)
     table, corners = patch._numbering
     points = _Points(table)
-    tail, head, twice, rim = _rim(corners, patch.chirality, len(table))
+    tail, head, twice, rim = _rim(corners, patch.chirality, len(table), np.zeros(n, np.int64))
     if twice:
         e, j = twice
         if set(corners[j].tolist()) == set(corners[e // 3].tolist()):
@@ -677,25 +676,22 @@ def validate_disk(patch: Patch) -> PatchReport:
     return PatchReport(not problems, tuple(problems))
 
 
-def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group=0):
-    """The directed edges of triangles (rows of vertex indices below v),
-    and the rim of each group of triangles (all in group 0 by default).
+def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group: np.ndarray):
+    """The directed edges of triangles (rows of vertex indices below v)
+    and the rim of each group of triangles (one group id per triangle).
 
-    Edge k of triangle i runs from its corner k to the next, counter-
-    clockwise by the chirality, so the triangle lies to its left; it is at
-    position 3i + k of the tail and head arrays.  One stable sort of the
-    edges packed as (group, lower vertex, upper vertex, direction) puts the
-    copies of a directed edge side by side, first owner first, next to its
-    reverse.  Returns tail, head, the first edge owned twice as (position,
-    first owner) or None, and the positions, in order, of the rim: the
-    edges whose reverse no triangle of their group owns."""
+    Edge k of triangle i, at position 3i + k, runs from corner k to the
+    next, counter-clockwise by the chirality.  One stable sort of the edges
+    packed as (group, lower vertex, upper vertex, direction) puts copies of
+    a directed edge side by side, first owner first, next to its reverse.
+    Returns tail, head, the first edge owned twice as (position, first
+    owner) or None, and the positions, in order, of the rim: the edges
+    whose reverse no triangle of their group owns."""
     import numpy as np
 
     ccw = np.where((chirality < 0)[:, None], corners[:, [0, 2, 1]], corners)
-    tail = ccw.ravel()
-    head = ccw[:, [1, 2, 0]].ravel()
-    group = np.repeat(group, 3) if np.ndim(group) else group
-    dtype = np.int64 if 2 * (int(np.max(group)) + 1) * v * v < 2 ** 63 else object
+    tail, head, group = ccw.ravel(), ccw[:, [1, 2, 0]].ravel(), np.repeat(group, 3)
+    dtype = np.int64 if 2 * (int(group.max(initial=0)) + 1) * v * v < 2 ** 63 else object
     keys = ((group * v + np.minimum(tail, head)).astype(dtype) * v
             + np.maximum(tail, head)) * 2 + (tail > head)
     order = np.argsort(keys, kind="stable")
@@ -706,28 +702,37 @@ def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group=0):
         e = int(order[1:][same].min())  # the first edge already owned
         twice = e, int(order[np.searchsorted(ranked, keys[e])]) // 3
     # whether each sorted edge and the next are an edge and its reverse
-    paired = np.append((ranked[1:] >> 1) == (ranked[:-1] >> 1), False)
+    paired = np.diff(ranked >> 1, append=-1) == 0
     return tail, head, twice, np.sort(order[~(paired | np.roll(paired, 1))])
 
 
-def _loops(tail: list[int], head: list[int]) -> list[list[int]]:
-    """The closed walks over directed edges, given sorted by (tail, head),
-    in which every vertex has as many exits as entries, as vertex lists.
-    Each walk starts at the smallest vertex with an unused exit and leaves
-    every vertex by its smallest unused exit."""
-    # each vertex's next unused exit, as a position in the edges
-    at = dict(zip(reversed(tail), range(len(tail) - 1, -1, -1)))
-    tail = [*tail, None]  # no walk leaves the end of the edges
+def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[int, list]]:
+    """The closed walks over directed edges in which each vertex of a group
+    has as many exits as entries, as (group, vertex list) pairs by group.
+    A walk stays in its group, starts at the group's smallest vertex with
+    an unused exit and leaves every vertex by its smallest unused exit."""
+    import numpy as np
+
+    exits = np.lexsort((head, tail, group))
+    g, t, n = group[exits], tail[exits], len(exits)
+    # a vertex of a group is named by the position p of its first exit:
+    # at[p] is its next unused exit and each later exit q keeps at[q] = p,
+    # so at[at[p]] == p while p has one (never at q: p has none by then)
+    first = (np.diff(g, prepend=-1) | np.diff(t, prepend=-1)) != 0
+    at = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    # entries sorted by (group, head) meet exits sorted by (group, tail)
+    into = np.empty(n, np.int64)
+    into[np.lexsort((head, group))] = at
+    into, t, at = into[exits].tolist(), t.tolist(), [*at.tolist(), None]
     loops = []
-    for start in tail[:-1]:
-        while tail[at[start]] == start:
-            loop, v = [start], head[at[start]]
-            at[start] += 1
-            while v != start:
-                loop.append(v)
-                at[v] = k = at[v] + 1
-                v = head[k - 1]
-            loops.append(loop)
+    for start in range(n):
+        while at[at[start]] == start:
+            loop, p = [], start
+            while p != start or not loop:
+                loop.append(t[p])
+                at[p] = k = at[p] + 1
+                p = into[k - 1]
+            loops.append((int(g[start]), loop))
     return loops
 
 
@@ -756,7 +761,7 @@ def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> st
         v = int(np.argmax(bad))
         return f"boundary vertex {points[v]} has {degree[v]} boundary edges"
     # each boundary vertex now has one exit and one entry
-    cycles = len(_loops(*boundary[np.lexsort(boundary.T[::-1])].T.tolist()))
+    cycles = len(_loops(boundary[:, 0], boundary[:, 1], np.zeros(len(boundary), np.int64)))
     if cycles != 1:
         return f"boundary edges form {cycles} cycles"
     chi = len(points) - n_edges + n_faces

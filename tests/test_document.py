@@ -445,6 +445,21 @@ class TestArrayDocument:
         assert hashlib.sha256(svg).hexdigest() == (
             "940b1023125c5f905069e4279420647fee844c73aed33eb6e5cc580ee9ab7c5f")
 
+    @pytest.mark.parametrize("options,digest", [
+        (RenderOptions(), "bced645f4a8efbeda42e7d72eea27625c4d7bbee44a7fc89056c7cef5dd55158"),
+        (RenderOptions(atoms=True, overlay=(1, 2)),
+         "a1b3da303ce3be59a75e3d30ff61d65d4260ee8bc9c4dfa652b30009f56a35b2"),
+    ], ids=["plain", "atoms-overlay"])
+    def test_svg_of_an_empty_groups_block_unchanged(self, options, digest):
+        # "groups 0" is a valid block; it draws no group and no triangle
+        data = write_tiling(patch_to_document(seed_sun(), groups=()))
+        assert b"\ngroups 0\n" in data
+        svg = render_svg(read_tiling(data), options)
+        assert svg.count(b"<polygon") == 0
+        # recorded with the renderer's own rim search, before it shared
+        # the validator's
+        assert hashlib.sha256(svg).hexdigest() == digest
+
 
 def sun1_with_orphan() -> TilingDocument:
     """Sun generation 1 with one more vertex, (50, 0, 0, 0), that no
