@@ -7,14 +7,16 @@ rotations by 36 degrees, each optionally composed with complex
 conjugation) plus an exact translation.  Matching never backtracks and the
 iteration order is canonical, so grouping is deterministic.
 
-Matching runs on plain integers.  Each triangle packs into one integer key
-in a balanced mixed radix derived from the coordinate bound of the data at
+Matching runs on plain integers.  One routine packs the triangles of a
+patch frame and of a posed template alike into one integer key each, in a
+balanced mixed radix derived from the coordinate bound of the data at
 hand, so equal keys mean equal triangles and translation is integer
 addition.  A lazily cached pose table, one per (template, scale exponent),
 holds the 20 posed, scaled copies of each template relative to its anchor
 apex.  ``detect_composites`` probes it with one integer add per template
 triangle; ``verify_grouping`` translates the recorded pose by the recorded
-shift and compares triangle sets exactly.
+shift and compares triangle sets exactly.  One rule, ``_pair_kinds``,
+decides the mirror-twin pairs of ``glue_rhombs`` and re-verifies them.
 
 Template geometry: the rhombs, deltoid, trapezoid and boat follow from the
 shape definitions directly.  The pentagon dissections cannot be chosen
@@ -33,7 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, sq_norm_ab
 from .triangles import (
@@ -44,6 +46,9 @@ from .triangles import (
     canonical_obtuse,
     deflate_triangle,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CompositeKind",
@@ -216,22 +221,17 @@ class Template:
         return len(self.parts)
 
 
-def _pentagon_small_parts() -> tuple[Triangle, ...]:
-    return _raw_to_triangles(_SMALL55_RAW)
-
-
 def _pentagon_big_parts() -> tuple[Triangle, ...]:
     out = []
-    for t in _pentagon_small_parts():
+    for t in _raw_to_triangles(_SMALL55_RAW):
         grown = t.transform(lambda p: p * TAU)
         out.extend(deflate_triangle(grown))
     return tuple(out)
 
 
 def _pentagram_parts() -> tuple[Triangle, ...]:
-    core = list(_pentagon_small_parts())
+    parts = list(_raw_to_triangles(_SMALL55_RAW))
     point = _raw_to_triangles(_POINT25_RAW)
-    parts = core
     corner = ZERO
     side = ONE * _PENTAGON_SIDE
     for k in range(5):
@@ -282,7 +282,7 @@ def templates() -> dict[CompositeKind, Template]:
         CompositeKind.THICK_RHOMB: (obtuse, _mirror_twin_across_base(obtuse)),
         CompositeKind.DELTOID: (acute, deltoid_twin),
         CompositeKind.TRAPEZOID: _trapezoid_parts(),
-        CompositeKind.PENTAGON_SMALL: _pentagon_small_parts(),
+        CompositeKind.PENTAGON_SMALL: _raw_to_triangles(_SMALL55_RAW),
         CompositeKind.PENTAGON_BIG: _pentagon_big_parts(),
         CompositeKind.PENTAGRAM: _pentagram_parts(),
         CompositeKind.BOAT: _boat_parts(),
@@ -351,14 +351,8 @@ class CompositeTiling:
 # coordinates it will meet, so two keys are equal only for equal triangles.
 
 
-def _triangle_coords(patch: Patch) -> list[list[int]]:
-    """The twelve coordinates (apex, base0, base1) of each triangle."""
-    return patch.coords.reshape(len(patch), 12).tolist()
-
-
-def _max_abs(coords: Sequence[Sequence[int]]) -> int:
-    return max(max(map(max, coords), default=0),
-               -min(map(min, coords), default=0))
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class _Packing:
@@ -370,18 +364,12 @@ class _Packing:
         self.radix = r
         self.r4 = r ** 4
         self.r8 = self.r4 * self.r4
-        self.obtuse = self.r8 * self.r4        # the kind digit
         self.shift = self.r8 + self.r4 + 1     # translation multiplier
 
     def point(self, z: Sequence[int]) -> int:
         """The point with coordinates z."""
         r = self.radix
         return ((z[0] * r + z[1]) * r + z[2]) * r + z[3]
-
-    def parts(self, parts: tuple[_Part, ...]) -> list[int]:
-        p = self.point
-        return [obtuse * self.obtuse + p(a) * self.r8 + p(lo) * self.r4 + p(hi)
-                for obtuse, a, lo, hi in parts]
 
     def weights(self, k: int) -> tuple[int, int, int, int]:
         """The packed point of eps^k * z as a linear form in z: the weights
@@ -391,20 +379,25 @@ class _Packing:
         w = (r ** 3, r * r, r, 1, -(r ** 3 + r * r + r + 1))
         return w[k % 5], w[(k + 1) % 5], w[(k + 2) % 5], w[(k + 3) % 5]
 
-    def frame_keys(self, coords: Sequence[Sequence[int]], obtuse: list[bool],
-                   k: int) -> list[int]:
-        """Triangle keys of the patch rotated by 72k degrees."""
-        x0, x1, x2, x3 = self.weights(k)
-        r4, r8, top = self.r4, self.r8, self.obtuse
-        out = []
-        for (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3), o in zip(coords, obtuse):
-            a = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-            b = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
-            c = c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
-            if b > c:
-                b, c = c, b
-            out.append(o * top + a * r8 + b * r4 + c)
-        return out
+    def table(self, coords: np.ndarray, kind: np.ndarray, k: int) -> np.ndarray:
+        """(N, 4): the packed columns (kind, apex, lower base, upper base)
+        of the triangles with (N, 3, 4) coordinates ``coords`` and kinds
+        ``kind``, rotated by 72k degrees."""
+        import numpy as np
+
+        dtype = np.int64 if self.r4 < 2 ** 62 else object  # each partial sum < R^4
+        points = coords @ np.array(self.weights(k), dtype=dtype)
+        bases = points[:, 1:]
+        return np.column_stack((kind, points[:, 0], bases.min(axis=1), bases.max(axis=1)))
+
+    def keys(self, table: np.ndarray) -> list[int]:
+        """Each row of a ``table`` folded into one 13-digit integer."""
+        import numpy as np
+
+        # object weights: R^12 may exceed int64, and numpy would not widen
+        # a tuple of such integers to Python ints but to uint64 or float
+        weights = np.array((self.r8 * self.r4, self.r8, self.r4, 1), dtype=object)
+        return (table @ weights).tolist()
 
 
 def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
@@ -415,23 +408,16 @@ def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
     triangles by their keys in that frame.  Rotating a patch then rotates
     the order with it, which makes greedy grouping covariant under 72-degree
     rotation (up to the unavoidable ties of patches that are themselves
-    5-fold symmetric).  A key is four columns (kind, apex, lower base,
-    upper base), each point packed into one integer; one stable
-    ``np.lexsort`` sorts each frame, and frames compare as their sorted
-    tables, row by row.
+    5-fold symmetric).  One stable ``np.lexsort`` of the packed columns
+    sorts each frame, and frames compare as their sorted tables, row by row.
     """
     import numpy as np
 
-    coords = patch.coords
     # a rotated coordinate is a coordinate or a difference of two
-    pack = _Packing(2 * max(int(coords.max(initial=0)), -int(coords.min(initial=0))))
-    dtype = np.int64 if pack.r4 < 2 ** 62 else object  # each partial sum < R^4
+    pack = _Packing(2 * _max_abs(patch.coords))
     best = None
     for k in range(5):
-        points = coords @ np.array(pack.weights(k), dtype=dtype)
-        bases = points[:, 1:]
-        table = np.column_stack((patch.kind, points[:, 0], bases.min(axis=1),
-                                 bases.max(axis=1)))
+        table = pack.table(patch.coords, patch.kind, k)
         order = np.lexsort(table.T[::-1])
         table = table[order]
         differ = np.flatnonzero(table != best) if best is not None else None
@@ -446,21 +432,17 @@ def _obtuse(patch: Patch) -> list[bool]:
 
 # ------------------------------------------------------------- pose table
 
-# (obtuse, apex, lower base, upper base): one template triangle in a pose,
-# as coordinates relative to the posed anchor apex, bases in tuple order
-_Part = tuple[bool, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
 
 class _Pose(NamedTuple):
     rot: int
     mirror: bool
     chirality: int        # of the anchor triangle in this pose
     anchor: CycloPoint    # posed anchor apex; a match shifts it onto a target apex
-    parts: tuple[_Part, ...]
+    parts: np.ndarray     # (P, 3, 4): each part's corners relative to the anchor
 
 
 class _PoseTable(NamedTuple):
-    anchor_kind: TriangleKind
+    kind: np.ndarray          # (P,) int8: each part's kind, as Patch.kind; part 0 anchors
     poses: tuple[_Pose, ...]  # pose (rot, mirror) at index 2*rot + mirror
     span: int                 # largest |coordinate| of a part relative to its anchor
     reach: int                # largest |coordinate| of a posed part point
@@ -472,23 +454,25 @@ class _PoseTable(NamedTuple):
 @cache
 def _pose_table(kind: CompositeKind, exponent: int) -> _PoseTable:
     """The template of ``kind`` at scale tau^exponent in all 20 poses."""
+    import numpy as np
+
     scale = TAU ** exponent
     parts = templates()[kind].parts
     scaled = {p: p * scale for t in parts for p in t.points()}
     poses, span, reach = [], 0, 0
     for rot in range(10):
         for mirror in (False, True):
-            posed = {p: (q.conj() if mirror else q) * ROT36[rot]
+            posed = {p: ((q.conj() if mirror else q) * ROT36[rot]).coords()
                      for p, q in scaled.items()}
-            anchor = posed[parts[0].apex]
-            rel = {p: (q - anchor).coords() for p, q in posed.items()}
-            span = max(span, _max_abs(list(rel.values())))
-            reach = max(reach, _max_abs([q.coords() for q in posed.values()]))
+            corners = np.array([[posed[p] for p in t.points()] for t in parts])
+            rel = corners - corners[0, 0]
+            span = max(span, _max_abs(rel))
+            reach = max(reach, _max_abs(corners))
             chirality = -parts[0].chirality if mirror else parts[0].chirality
-            poses.append(_Pose(rot, mirror, chirality, anchor, tuple(
-                (t.kind is TriangleKind.OBTUSE, rel[t.apex],
-                 *sorted((rel[t.base0], rel[t.base1]))) for t in parts)))
-    return _PoseTable(parts[0].kind, tuple(poses), span, reach)
+            poses.append(_Pose(rot, mirror, chirality,
+                               CycloPoint(*corners[0, 0].tolist()), rel))
+    kinds = np.array([t.kind is TriangleKind.OBTUSE for t in parts], dtype=np.int8)
+    return _PoseTable(kinds, tuple(poses), span, reach)
 
 
 def _patch_scale_exponent(patch: Patch) -> int:
@@ -529,16 +513,16 @@ def detect_composites(patch: Patch,
     exponent = _patch_scale_exponent(patch)
     tables = [(kind, _pose_table(kind, exponent)) for kind in policy
               if kind not in SINGLETON_KINDS]
-    coords = _triangle_coords(patch)
     obtuse = _obtuse(patch)
     chirality = patch.chirality.tolist()
-    m = _max_abs(coords)
+    m = _max_abs(patch.coords)
     # covers the patch (m) and every probe: an anchor apex plus a part
     # offset (m + span)
     pack = _Packing(max([m] + [m + table.span for _, table in tables]))
     order, k_star = _canonical_index_order(patch)
-    index = dict(zip(pack.frame_keys(coords, obtuse, 0), range(n)))
-    apex_keys = [pack.point(c) * pack.shift for c in coords]
+    frame = pack.table(patch.coords, patch.kind, 0)
+    index = dict(zip(pack.keys(frame), range(n)))
+    apex_keys = [a * pack.shift for a in frame[:, 1].tolist()]
     claimed = [False] * n
     # isometry iteration order aligned with the canonical frame, so that
     # rotating the patch rotates which candidate wins a tie
@@ -550,8 +534,9 @@ def detect_composites(patch: Patch,
         for rot in rot_order:
             for mirror in (False, True):
                 pose = table.poses[2 * rot + mirror]
-                by_chirality[pose.chirality].append((pose, pack.parts(pose.parts)))
-        anchor_obtuse = table.anchor_kind is TriangleKind.OBTUSE
+                by_chirality[pose.chirality].append(
+                    (pose, pack.keys(pack.table(pose.parts, table.kind, 0))))
+        anchor_obtuse = bool(table.kind[0])
         for i in order:
             if claimed[i] or obtuse[i] != anchor_obtuse:
                 continue
@@ -567,7 +552,7 @@ def detect_composites(patch: Patch,
                     if len(set(hit)) == len(keys):
                         for j in hit:
                             claimed[j] = True
-                        shift = CycloPoint(*coords[i][:4]) - pose.anchor
+                        shift = CycloPoint(*patch.coords[i, 0].tolist()) - pose.anchor
                         groups.append(Group(kind, tuple(sorted(hit)),
                                             Isometry(pose.rot, pose.mirror, shift)))
                         break
@@ -583,55 +568,79 @@ def _singletons(order: list[int], claimed: list[bool],
                  for i in order if not claimed[i])
 
 
+# the composite of each code of _pair_kinds
+_PAIR_KINDS = (CompositeKind.THIN_RHOMB, CompositeKind.THICK_RHOMB, CompositeKind.DELTOID)
+
+
+def _pair_kinds(corners: np.ndarray, kind: np.ndarray, i: np.ndarray,
+                j: np.ndarray) -> np.ndarray:
+    """The composite each pair (i[k], j[k]) forms, as an index into
+    ``_PAIR_KINDS``, or -1.  Rhomb halves share their kind and base
+    vertices, not their apex; deltoid halves are acute, with one apex and
+    exactly one shared base vertex.  ``corners`` is the patch's vertex
+    numbering.  For valid shapes these are exactly the mirror twins, so
+    chirality, which only tells the order a base is listed in, is unread."""
+    import numpy as np
+
+    a, b = corners[i], corners[j]
+    shared = (a[:, 1:, None] == b[:, None, 1:]).sum(axis=(1, 2))
+    one_kind = kind[i] == kind[j]
+    one_apex = a[:, 0] == b[:, 0]
+    return np.where(one_kind & ~one_apex & (shared == 2), kind[i],
+                    np.where(one_kind & (kind[i] == 0) & one_apex & (shared == 1), 2, -1))
+
+
 def glue_rhombs(patch: Patch) -> CompositeTiling:
     """Pair mirror twins: acute across their base into thin rhombs, obtuse
     across their base into thick rhombs, and remaining acute twins across
-    a leg (shared apex) into deltoids.  Scale-independent."""
+    a leg (shared apex) into deltoids.  Scale-independent.
+
+    Base twins are neighbours in one sort by (kind, lower base, upper
+    base, rank); a base with more than two owners of one kind means
+    duplicate triangles and is refused.  Leg twins come from one sort of
+    the acute legs left and are claimed greedily in (earlier rank, later
+    rank) order."""
+    import numpy as np
+
     order, _ = _canonical_index_order(patch)
-    rank = {i: pos for pos, i in enumerate(order)}
-    corners = patch.corners
-    obtuse = _obtuse(patch)
-    chirality = patch.chirality.tolist()
-    claimed = [False] * len(patch)
-    groups: list[Group] = []
+    rank = np.argsort(order)
+    corners, kind = patch._numbering[1], patch.kind
 
-    base_map: dict[tuple[bool, int, int], list[int]] = {}
-    for i, (o, (_, b0, b1)) in enumerate(zip(obtuse, corners)):
-        base_map.setdefault((o, min(b0, b1), max(b0, b1)), []).append(i)
-    for kind, want in ((CompositeKind.THIN_RHOMB, False),
-                       (CompositeKind.THICK_RHOMB, True)):
-        for i in order:
-            if claimed[i] or obtuse[i] is not want:
-                continue
-            apex, b0, b1 = corners[i]
-            twins = [j for j in base_map[(want, min(b0, b1), max(b0, b1))]
-                     if j != i and not claimed[j] and corners[j][0] != apex]
-            if twins:
-                j = min(twins, key=rank.__getitem__)
-                claimed[i] = claimed[j] = True
-                groups.append(Group(kind, tuple(sorted((i, j)))))
+    bases = np.sort(corners[:, 1:], axis=1)
+    s = np.lexsort((rank, bases[:, 1], bases[:, 0], kind))
+    rows = np.column_stack((kind[s], bases[s]))
+    same = (rows[1:] == rows[:-1]).all(axis=1)
+    if (same[1:] & same[:-1]).any():
+        raise ValueError("a base is shared by more than two triangles of one kind: "
+                         "duplicate triangles")
+    pairs = np.column_stack((s[:-1], s[1:]))[same]
+    pairs = pairs[_pair_kinds(corners, kind, *pairs.T) >= 0]
+    pairs = pairs[np.lexsort((rank[pairs[:, 0]], kind[pairs[:, 0]]))]
+    claimed = np.zeros(len(patch), dtype=bool)
+    claimed[pairs] = True
+    groups = [Group(_PAIR_KINDS[k], tuple(sorted(pair)))
+              for k, pair in zip(kind[pairs[:, 0]].tolist(), pairs.tolist())]
 
-    leg_map: dict[tuple[int, int], list[int]] = {}
-    for i, (apex, b0, b1) in enumerate(corners):
-        if claimed[i] or obtuse[i]:
-            continue
-        for b in (b0, b1):
-            leg_map.setdefault((apex, b), []).append(i)
-    for i in order:
-        if claimed[i] or obtuse[i]:
-            continue
-        apex, b0, b1 = corners[i]
-        partners = []
-        for b in (b0, b1):
-            for j in leg_map.get((apex, b), ()):
-                if j != i and not claimed[j] and chirality[j] != chirality[i]:
-                    partners.append(j)
-        if partners:
-            j = min(partners, key=rank.__getitem__)
-            claimed[i] = claimed[j] = True
-            groups.append(Group(CompositeKind.DELTOID, tuple(sorted((i, j)))))
+    free = np.flatnonzero(~claimed & (kind == 0))
+    claimed = claimed.tolist()
+    legs = np.column_stack((np.repeat(corners[free, 0], 2), corners[free, 1:].ravel()))
+    owner = np.repeat(free, 2)
+    s = np.lexsort((rank[owner], legs[:, 1], legs[:, 0]))
+    legs, owner = legs[s], owner[s]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for d in range(1, len(s)):  # every pair of owners of one leg
+        same = (legs[d:] == legs[:-d]).all(axis=1)
+        if not same.any():
+            break
+        pairs.append(np.column_stack((owner[:-d], owner[d:]))[same])
+    pairs = np.concatenate(pairs)
+    pairs = pairs[_pair_kinds(corners, kind, *pairs.T) == 2]
+    for a, b in pairs[np.lexsort((rank[pairs[:, 1]], rank[pairs[:, 0]]))].tolist():
+        if not (claimed[a] or claimed[b]):
+            claimed[a] = claimed[b] = True
+            groups.append(Group(CompositeKind.DELTOID, tuple(sorted((a, b)))))
 
-    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, obtuse))
+    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, _obtuse(patch)))
 
 
 def count_tiles(tiling: CompositeTiling) -> dict[CompositeKind, int]:
@@ -653,72 +662,60 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     Template groups are re-verified by translating the template's cached
     pose under the recorded isometry by the recorded shift and demanding
     exact equality of triangle sets; pair groups from glue_rhombs are
-    re-verified structurally (mirror twin across the shared edge);
-    singletons must be lone triangles of their kind.
+    re-verified by the rule that pairs them, ``_pair_kinds``; singletons
+    must be lone triangles of their kind.  A group with an index outside
+    the patch fails its own check.
     """
+    import numpy as np
+
     problems: list[str] = []
     seen: set[int] = set()
     patch = tiling.patch
+    n = len(patch)
     for g in tiling.groups:
         for i in g.indices:
             if i in seen:
                 problems.append(f"triangle {i} appears in two groups")
             seen.add(i)
-    if seen != set(range(len(patch))):
+    if seen != set(range(n)):
         problems.append("groups do not cover the triangle set")
+    inside = seen.difference(range(n)).isdisjoint
 
-    coords = _triangle_coords(patch)
     obtuse = _obtuse(patch)
-    chirality = patch.chirality.tolist()
+    pairs = [g.indices for g in tiling.groups if g.iso is None
+             and g.kind not in SINGLETON_KINDS and len(g.indices) == 2 and inside(g.indices)]
+    if pairs:
+        codes = _pair_kinds(patch._numbering[1], patch.kind, *np.array(pairs).T)
+        paired = iter([_PAIR_KINDS[c] if c >= 0 else None for c in codes.tolist()])
     posed = [g for g in tiling.groups
              if g.iso is not None and g.kind not in SINGLETON_KINDS]
     if posed:
         exponent = _patch_scale_exponent(patch)
         # covers the patch and every translated posed part point
-        pack = _Packing(max([_max_abs(coords)] + [
+        pack = _Packing(max([_max_abs(patch.coords)] + [
             _pose_table(g.kind, exponent).reach + max(map(abs, g.iso.shift.coords()))
             for g in posed]))
-        keys = pack.frame_keys(coords, obtuse, 0)
+        keys = pack.keys(pack.table(patch.coords, patch.kind, 0))
         part_keys: dict[tuple[CompositeKind, int], list[int]] = {}
     for g in tiling.groups:
         if g.kind in SINGLETON_KINDS:
             want = g.kind is CompositeKind.OBTUSE_TRIANGLE
-            if len(g.indices) != 1 or obtuse[g.indices[0]] is not want:
+            if (len(g.indices) != 1 or not inside(g.indices)
+                    or obtuse[g.indices[0]] is not want):
                 problems.append(f"bad singleton group {g}")
             continue
         if g.iso is None:
-            ok = _verify_pair(coords, obtuse, chirality, g)
-            if not ok:
+            if len(g.indices) != 2 or not inside(g.indices) or next(paired) is not g.kind:
                 problems.append(f"pair group failed re-verification: {g}")
             continue
         table = _pose_table(g.kind, exponent)
         at = table.index(g.iso)
         pose = table.poses[at]
         if (g.kind, at) not in part_keys:
-            part_keys[g.kind, at] = pack.parts(pose.parts)
+            part_keys[g.kind, at] = pack.keys(pack.table(pose.parts, table.kind, 0))
         shift = pack.point((pose.anchor + g.iso.shift).coords()) * pack.shift
-        if ({keys[i] for i in g.indices}
-                != {key + shift for key in part_keys[g.kind, at]}):
+        if not inside(g.indices) or ({keys[i] for i in g.indices}
+                             != {key + shift for key in part_keys[g.kind, at]}):
             problems.append(f"isometry re-verification failed for {g.kind.value} "
                             f"at indices {g.indices}")
     return GroupingReport(not problems, tuple(problems))
-
-
-def _verify_pair(coords: list[list[int]], obtuse: list[bool], chirality: list[int],
-                 g: Group) -> bool:
-    if len(g.indices) != 2:
-        return False
-    i, j = g.indices
-    if obtuse[i] is not obtuse[j] or chirality[i] == chirality[j]:
-        return False
-    apex1, apex2 = coords[i][:4], coords[j][:4]
-    bases1, bases2 = ({tuple(c[4:8]), tuple(c[8:])} for c in (coords[i], coords[j]))
-    if g.kind in (CompositeKind.THIN_RHOMB, CompositeKind.THICK_RHOMB):
-        if obtuse[i] is not (g.kind is CompositeKind.THICK_RHOMB):
-            return False
-        return bases1 == bases2 and apex1 != apex2
-    if g.kind is CompositeKind.DELTOID:
-        if obtuse[i] or apex1 != apex2:
-            return False
-        return len(bases1 & bases2) == 1
-    return False

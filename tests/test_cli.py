@@ -91,6 +91,46 @@ class TestPipeline:
         assert "999" in err
 
 
+class TestGroupInput:
+    def test_label_swapped_twin_groups_and_verifies(self, tmp_path, capsys):
+        # the first triangle lists its base the other way round: the same
+        # disk, so verify and group --policy rhombs accept it as before
+        tiling = tmp_path / "s3.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "3", "--out", str(tiling))
+        text = tiling.read_text()
+        first = text.index("\nA ") + 1
+        line = text[first:text.index("\n", first)]
+        kind, apex, base0, base1, chirality, parent = line.split()
+        flipped = {"+1": "-1", "-1": "+1"}[chirality]
+        swapped = tmp_path / "swapped.qtile"
+        swapped.write_text(text[:first] + f"{kind} {apex} {base1} {base0} {flipped} {parent}"
+                           + text[first + len(line):])
+
+        assert run(capsys, "verify", str(swapped))[0] == 0
+        counts = []
+        for path in (tiling, swapped):
+            code, _, err = run(capsys, "group", str(path), "--policy", "rhombs",
+                               "--out", str(tmp_path / "out.qtile"))
+            assert code == 0, err
+            counts.append(err.split(": ", 1)[1])
+        assert counts[0] == counts[1]
+        assert "ThinRhomb=25" in counts[1]
+
+    def test_doubled_triangle_refused(self, tmp_path, capsys):
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        lines = tiling.read_text().split("\n")
+        at = lines.index("triangles 50")
+        lines[at:at + 2] = ["triangles 51", lines[at + 1], lines[at + 1]]
+        tiling.write_text("\n".join(lines))
+        out = tmp_path / "out.qtile"
+        code, _, err = run(capsys, "group", str(tiling), "--policy", "rhombs",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and "more than two triangles" in err
+        assert not out.exists()
+
+
 class TestProjectAndScan:
     def test_project_writes_points(self, tmp_path, capsys):
         out = tmp_path / "proj.qtile"

@@ -2,6 +2,7 @@ import hashlib
 from dataclasses import replace
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from fivefold.grouping import (
     SET_A,
     SET_B,
     CompositeKind,
+    Group,
     _canonical_index_order,
     _Packing,
     _patch_scale_exponent,
@@ -105,6 +107,24 @@ class TestGlueRhombs:
                              t.base0, t.base1)
         tiling = glue_rhombs(Patch((t, twin)))
         assert count_tiles(tiling) == {CompositeKind.THIN_RHOMB: 1}
+
+    def test_label_swapped_base_twins_give_verified_thin_rhomb(self):
+        # the twin lists its base the other way round, so both halves carry
+        # the same chirality; the pair is still a thin rhomb
+        t = canonical_acute()
+        twin = Triangle.make(TriangleKind.ACUTE, t.base0 + t.base1 - t.apex,
+                             t.base1, t.base0)
+        assert twin.chirality == t.chirality
+        tiling = glue_rhombs(Patch((t, twin)))
+        assert count_tiles(tiling) == {CompositeKind.THIN_RHOMB: 1}
+        assert verify_grouping(tiling).ok
+
+    def test_base_with_three_owners_refused(self):
+        patch = deflate_patch(seed_sun(), 2)
+        assert any(g.indices == (0, 4) for g in glue_rhombs(patch).groups)
+        doubled = Patch(patch.triangles + (patch.triangles[0],))
+        with pytest.raises(ValueError, match="more than two triangles"):
+            glue_rhombs(doubled)
 
     def test_single_triangle_is_leftover(self):
         tiling = glue_rhombs(Patch((canonical_acute(),)))
@@ -296,6 +316,7 @@ class TestPinnedAssignments:
 # ------------------------------------------------------------ integer keys
 
 small_coords = st.tuples(*[st.integers(-40, 40)] * 4)
+tiny_coords = st.tuples(*[st.integers(-9, 9)] * 4)
 
 
 class TestPacking:
@@ -314,15 +335,30 @@ class TestPacking:
     @given(st.lists(st.tuples(st.booleans(), small_coords, small_coords, small_coords),
                     min_size=1, max_size=4), st.integers(0, 4))
     def test_frame_keys_are_keys_of_rotated_triangles(self, rows, k):
-        pack = _Packing(80)  # rotated coordinates reach twice the bound
-        coords = [a + b + c for _, a, b, c in rows]
-        got = pack.frame_keys(coords, [o for o, *_ in rows], k)
-        for key, (obtuse, *points) in zip(got, rows):
-            a, b, c = (CycloPoint(*p) for p in points)
-            for _ in range(k):
-                a, b, c = a.rotate72(), b.rotate72(), c.rotate72()
-            lo, hi = sorted((b.coords(), c.coords()))
-            assert key == pack.parts(((obtuse, a.coords(), lo, hi),))[0]
+        _check_frame_keys(_Packing(80), rows, k)  # rotated coordinates reach twice the bound
+
+    @given(st.lists(st.tuples(st.booleans(), tiny_coords, tiny_coords, tiny_coords),
+                    min_size=1, max_size=4), st.integers(0, 4))
+    def test_keys_past_int64(self, rows, k):
+        # radix 39: R^12 lies between 2^63 and 2^64, where numpy would fold
+        # a tuple of weights in uint64
+        pack = _Packing(19)
+        assert 2 ** 63 < pack.radix ** 12 < 2 ** 64
+        _check_frame_keys(pack, rows, k)
+
+
+def _check_frame_keys(pack, rows, k):
+    """``pack``'s keys of frame k are the packed digits of the rotated rows."""
+    coords = np.array([[a, b, c] for _, a, b, c in rows], dtype=np.int64)
+    kind = np.array([obtuse for obtuse, *_ in rows], dtype=np.int8)
+    got = pack.keys(pack.table(coords, kind, k))
+    r4 = pack.radix ** 4
+    for key, (obtuse, *points) in zip(got, rows):
+        a, b, c = (CycloPoint(*p) for p in points)
+        for _ in range(k):
+            a, b, c = a.rotate72(), b.rotate72(), c.rotate72()
+        lo, hi = sorted((pack.point(b.coords()), pack.point(c.coords())))
+        assert key == ((obtuse * r4 + pack.point(a.coords())) * r4 + lo) * r4 + hi
 
 
 # ------------------------------------------------- verify_grouping failures
@@ -376,3 +412,88 @@ class TestVerifyGroupingRejects:
         assert "groups do not cover the triangle set" in report.problems
         assert (f"isometry re-verification failed for {g.kind.value} "
                 f"at indices {g.indices}") in report.problems
+
+    @pytest.mark.parametrize("at", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_out_of_range_index_in_a_template_group(self, tiling, at):
+        n = len(tiling.patch)
+        g, bad = _tampered(tiling, lambda g: replace(
+            g, indices=g.indices[:at % len(g.indices)] + (n,)
+            + g.indices[at % len(g.indices) + 1:]))
+        report = verify_grouping(bad)
+        assert "groups do not cover the triangle set" in report.problems
+        assert (f"isometry re-verification failed for {g.kind.value} "
+                f"at indices {g.indices}") in report.problems
+
+    def test_out_of_range_singleton(self, tiling):
+        g = Group(CompositeKind.ACUTE_TRIANGLE, (len(tiling.patch) + 3,))
+        report = verify_grouping(replace(tiling, groups=tiling.groups + (g,)))
+        assert report.problems == ("groups do not cover the triangle set",
+                                   f"bad singleton group {g}")
+
+
+# ------------------------------------------------ pair groups of glue_rhombs
+
+def _pair_tampered(tiling, kind, change):
+    """The tiling with its first group of ``kind`` replaced by change(group)."""
+    at = next(n for n, g in enumerate(tiling.groups) if g.kind is kind)
+    groups = list(tiling.groups)
+    groups[at] = change(groups[at], tiling.groups)
+    return groups[at], replace(tiling, groups=tuple(groups))
+
+
+def _other_member(g, groups):
+    """A triangle of another group of g's kind: never a twin of g's members."""
+    return next(h for h in groups if h.kind is g.kind and h != g).indices[0]
+
+
+class TestVerifyGroupingRejectsPairs:
+    @pytest.fixture(scope="class")
+    def rhombs(self):
+        tiling = glue_rhombs(deflate_patch(seed_sun(), 3))
+        assert verify_grouping(tiling).ok
+        return tiling
+
+    @pytest.fixture(scope="class")
+    def deltoids(self):
+        # two deltoids, well apart
+        parts = templates()[CompositeKind.DELTOID].parts
+        far = CycloPoint(40, 0, 0, 0)
+        tiling = glue_rhombs(Patch(parts + tuple(
+            t.transform(lambda p: p + far) for t in parts)))
+        assert count_tiles(tiling) == {CompositeKind.DELTOID: 2}
+        assert verify_grouping(tiling).ok
+        return tiling
+
+    THIN, THICK, DELTOID = (CompositeKind.THIN_RHOMB, CompositeKind.THICK_RHOMB,
+                            CompositeKind.DELTOID)
+
+    @pytest.mark.parametrize("source,kind,change", [
+        ("rhombs", THIN, lambda g, _: replace(g, kind=CompositeKind.THICK_RHOMB)),
+        ("rhombs", THICK, lambda g, _: replace(g, kind=CompositeKind.THIN_RHOMB)),
+        ("rhombs", THIN, lambda g, _: replace(g, kind=CompositeKind.DELTOID)),
+        ("rhombs", THICK, lambda g, _: replace(g, kind=CompositeKind.DELTOID)),
+        ("deltoids", DELTOID, lambda g, _: replace(g, kind=CompositeKind.THIN_RHOMB)),
+        ("rhombs", THIN, lambda g, _: replace(g, kind=CompositeKind.TRAPEZOID)),
+        ("rhombs", THIN, lambda g, gs: replace(
+            g, indices=tuple(sorted((g.indices[0], _other_member(g, gs)))))),
+        ("rhombs", THICK, lambda g, gs: replace(
+            g, indices=tuple(sorted((g.indices[1], _other_member(g, gs)))))),
+        ("deltoids", DELTOID, lambda g, gs: replace(
+            g, indices=(g.indices[0], _other_member(g, gs)))),
+        ("rhombs", THIN, lambda g, gs: replace(
+            g, indices=g.indices + (_other_member(g, gs),))),
+        ("rhombs", THICK, lambda g, _: replace(g, indices=g.indices[:1])),
+    ], ids=["thin-as-thick", "thick-as-thin", "thin-as-deltoid", "thick-as-deltoid",
+            "deltoid-as-thin", "thin-as-trapezoid", "thin-non-twin", "thick-non-twin",
+            "deltoid-non-twin", "three-members", "one-member"])
+    def test_tampered_pair(self, request, source, kind, change):
+        g, bad = _pair_tampered(request.getfixturevalue(source), kind, change)
+        report = verify_grouping(bad)
+        assert f"pair group failed re-verification: {g}" in report.problems
+
+    def test_out_of_range_pair(self, rhombs):
+        g = Group(CompositeKind.THIN_RHOMB, (0, len(rhombs.patch) + 1))
+        report = verify_grouping(replace(rhombs, groups=rhombs.groups + (g,)))
+        assert report.problems == ("triangle 0 appears in two groups",
+                                   "groups do not cover the triangle set",
+                                   f"pair group failed re-verification: {g}")
