@@ -603,7 +603,7 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     import numpy as np
 
     order, _ = _canonical_index_order(patch)
-    rank = np.argsort(order)
+    rank = np.argsort(order)  # each triangle's position in order
     corners, kind = patch._numbering[1], patch.kind
 
     bases = np.sort(corners[:, 1:], axis=1)

@@ -94,7 +94,7 @@ class TestPipeline:
 class TestGroupInput:
     def test_label_swapped_twin_groups_and_verifies(self, tmp_path, capsys):
         # the first triangle lists its base the other way round: the same
-        # disk, so verify and group --policy rhombs accept it as before
+        # disk, so verify and group --policy rhombs treat it like the original
         tiling = tmp_path / "s3.qtile"
         run(capsys, "deflate", "--seed", "sun", "--steps", "3", "--out", str(tiling))
         text = tiling.read_text()
