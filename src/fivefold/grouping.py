@@ -426,6 +426,24 @@ def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
     return best_order.tolist(), k_star
 
 
+def _refuse_repeats(patch: Patch) -> None:
+    """Raise ValueError naming two triangles of one kind with one apex and
+    one base, the first such pair in one sort of their packed corner
+    numbers: grouping would count a repeated triangle twice."""
+    import numpy as np
+
+    corners = patch._numbering[1]
+    v = len(patch._numbering[0])
+    dtype = np.int64 if 2 * v ** 3 < 2 ** 63 else object
+    apex, b0, b1 = corners.astype(dtype).T
+    key = ((apex * v + np.minimum(b0, b1)) * v + np.maximum(b0, b1)) * 2 + patch.kind
+    s = np.argsort(key, kind="stable")
+    same = np.flatnonzero(key[s[1:]] == key[s[:-1]])
+    if len(same):
+        i, j = s[same[0]:same[0] + 2].tolist()
+        raise ValueError(f"triangles {i} and {j} are one triangle listed twice")
+
+
 def _obtuse(patch: Patch) -> list[bool]:
     return patch.kind.astype(bool).tolist()
 
@@ -510,6 +528,7 @@ def detect_composites(patch: Patch,
     n = len(patch)
     if not n:
         return CompositeTiling(patch, ())
+    _refuse_repeats(patch)
     exponent = _patch_scale_exponent(patch)
     tables = [(kind, _pose_table(kind, exponent)) for kind in policy
               if kind not in SINGLETON_KINDS]
@@ -613,6 +632,7 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     if (same[1:] & same[:-1]).any():
         raise ValueError("a base is shared by more than two triangles of one kind: "
                          "duplicate triangles")
+    _refuse_repeats(patch)
     pairs = np.column_stack((s[:-1], s[1:]))[same]
     pairs = pairs[_pair_kinds(corners, kind, *pairs.T) >= 0]
     pairs = pairs[np.lexsort((rank[pairs[:, 0]], kind[pairs[:, 0]]))]

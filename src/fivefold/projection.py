@@ -15,11 +15,12 @@ projection is the same for the Galois star map eps -> eps^2, and its
 diagonal projection is the integer sum of its coordinates over sqrt(5).
 
 The window is only sqrt(5) thick along the diagonal and fits in a disc of
-the internal plane, so an enumeration indexes its points by coordinate
-sum once and, per offset, hands the float window test only the points in
-the diagonal band whose star-map image lies in that disc.  Both prefilters
-reject only points provably outside the closed window, so every accept
-decision is the float test itself.
+the internal plane.  An enumeration therefore builds its points one
+coordinate-sum layer at a time, when an offset first reads that layer,
+and keeps each layer; per offset it hands the float window test only the
+points of the layers in the diagonal band whose star-map image lies in
+that disc.  Both prefilters reject only points provably outside the
+closed window, so every accept decision is the float test itself.
 """
 
 from __future__ import annotations
@@ -158,15 +159,26 @@ def symmetric_gamma() -> tuple[float, float, float]:
     return (0.0, 0.0, -math.sqrt(5.0) / 2.0)
 
 
+def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rows @ basis.T, rounded alike for every block size: numpy hands a
+    one-row product to gemv, whose rounding differs from gemm's, so a lone
+    row is projected as two copies."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ basis.T)[:1]
+    return rows @ basis.T
+
+
 class LatticeEnumeration:
     """Box enumeration of Z^5 within a physical radius, with cached
     projections, reusable across window offsets.
 
-    The points are indexed once by coordinate sum s, whose diagonal
-    projection is s/sqrt(5).  An offset then runs the window test only on
-    the rows in the diagonal band its window spans, widened by one integer
-    on each side, whose star-map image lies within the window's
-    internal-plane circumradius (plus STAR_GUARD) of the offset."""
+    The points are built one coordinate-sum layer at a time, on first use,
+    and each layer is kept: the diagonal projection of a point with sum s
+    is s/sqrt(5), so an offset only ever reads the layers of the diagonal
+    band its window spans, widened by one integer on each side.  Of those
+    rows it hands the window test the ones whose star-map image lies
+    within the window's internal-plane circumradius (plus STAR_GUARD) of
+    the offset."""
 
     def __init__(self, box: int, radius: float):
         if box < 1:
@@ -177,33 +189,14 @@ class LatticeEnumeration:
         self.radius = radius
         self.basis = projection_basis()
         self.window = build_window(self.basis)
-        # one leading-coordinate layer at a time: the rows come out in the
-        # lexicographic order a full 5D meshgrid would give
+        self._proj3 = np.vstack([self.basis.perp, self.basis.delta])
+        # every point's first four coordinates, in lexicographic order, and
+        # a zero fifth: a layer's sum fixes the fifth
         axes = [np.arange(-box, box + 1)] * 4
-        tail = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        tail_sum = tail.sum(axis=1)
-        rows = np.empty((len(tail), 5), dtype=tail.dtype)
-        rows[:, 1:] = tail
-        points, par_xy, sums = [], [], []
-        for lead in range(-box, box + 1):
-            rows[:, 0] = lead
-            xy = rows @ self.basis.par.T
-            keep = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= radius * radius
-            points.append(rows[keep])
-            par_xy.append(xy[keep])
-            sums.append(lead + tail_sum[keep])
-        self.points = np.concatenate(points)
-        self.par_xy = np.concatenate(par_xy)
-        proj3 = np.vstack([self.basis.perp, self.basis.delta])
-        self.internal = self.points @ proj3.T
-
-        # coordinate sums lie in [-5 box, 5 box]: sorting them in the
-        # narrowest integer type that holds them lets numpy use a radix sort
-        sums = np.concatenate(sums)
-        self._by_sum = np.argsort(sums.astype(np.min_scalar_type(-5 * box)),
-                                  kind="stable")
-        self._sums = sums[self._by_sum]
-        self._star_x, self._star_y = self.internal[self._by_sum, :2].T.copy()
+        self._tail = np.zeros(((2 * box + 1) ** 4, 5), dtype=np.int64)
+        self._tail[:, :4] = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        self._tail_sum = self._tail.sum(axis=1)
+        self._layers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         corners = cube_vertex_projections(self.basis)
         self._depth = (float(corners[:, 2].min()), float(corners[:, 2].max()))
         reach = float(np.sqrt((corners[:, :2] ** 2).sum(axis=1)).max()) + STAR_GUARD
@@ -212,27 +205,60 @@ class LatticeEnumeration:
         # in-plane offset farther out than this has no image within reach
         self._far = reach + box * float(np.linalg.norm(self.basis.perp, axis=0).sum())
 
-    def accept(self, gamma: Sequence[float]) -> np.ndarray:
-        """Mask of the rows strictly inside the gamma-shifted window.  Rows
-        outside the diagonal band or the star-map disc lie outside the
-        closed window by more than float error and skip the window test."""
-        mask = np.zeros(len(self.points), dtype=bool)
+    def layer(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, par_xy, internal) of the box points with coordinate sum
+        s within the physical radius, rows in lexicographic order."""
+        if s not in self._layers:
+            x4 = s - self._tail_sum
+            keep = np.flatnonzero(np.abs(x4) <= self.box)
+            rows = self._tail[keep]
+            rows[:, 4] = x4[keep]
+            xy = _project(rows, self.basis.par)
+            near = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= self.radius * self.radius
+            rows, xy = rows[near], xy[near]
+            self._layers[s] = (rows, xy, _project(rows, self._proj3))
+        return self._layers[s]
+
+    def accept(self, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, par_xy) of the points strictly inside the gamma-shifted
+        window, in (coordinate sum, lexicographic) order.  Rows outside the
+        diagonal band or the star-map disc lie outside the closed window by
+        more than float error and skip the window test."""
+        none = (np.empty((0, 5), dtype=np.int64), np.empty((0, 2)))
         gx, gy, gz = (float(g) for g in gamma)
         lo = SQRT5 * (gz + self._depth[0])
         hi = SQRT5 * (gz + self._depth[1])
         # a non-finite gz, or one so large that its band edge overflows, puts
         # the window past every point: the window test accepts nothing there
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            return mask
+            return none
         # nor does one with no star-map image in reach, where dx * dx may overflow
         if not math.hypot(gx, gy) <= self._far:
-            return mask
-        start, stop = np.searchsorted(self._sums, (math.floor(lo) - 1, math.ceil(hi) + 2))
-        dx = self._star_x[start:stop] - gx
-        dy = self._star_y[start:stop] - gy
-        rows = self._by_sum[start + np.flatnonzero(dx * dx + dy * dy <= self._reach_sq)]
-        mask[rows] = self.window.shifted(gamma).contains(self.internal[rows])
-        return mask
+            return none
+        # coordinate sums lie in [-5 box, 5 box]
+        first = max(math.floor(lo) - 1, -5 * self.box)
+        last = min(math.ceil(hi) + 1, 5 * self.box)
+        near = []
+        for s in range(first, last + 1):
+            rows, xy, internal = self.layer(s)
+            dx = internal[:, 0] - gx
+            dy = internal[:, 1] - gy
+            keep = dx * dx + dy * dy <= self._reach_sq
+            near.append((rows[keep], xy[keep], internal[keep]))
+        if not near:
+            return none
+        rows, xy, internal = (np.concatenate(a) for a in zip(*near))
+        inside = self.window.shifted(gamma).contains(internal)
+        return rows[inside], xy[inside]
+
+
+def _warn_at_box(reach: int, box: int) -> None:
+    """Warn when accepted points reach the enumeration box: the box is then
+    too small to guarantee every in-radius point was seen."""
+    if reach >= box:
+        warnings.warn(
+            f"accepted points reach the enumeration box (+-{box}); "
+            "increase box to saturate the radius", stacklevel=3)
 
 
 def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
@@ -241,23 +267,17 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
     """All lattice points within `radius` whose internal projection falls
     strictly inside the gamma-shifted window, sorted by lattice coordinates.
 
-    Warns when accepted points touch the enumeration box: the box is then
-    too small to guarantee every in-radius point was seen.
+    Warns when accepted points touch the enumeration box.
     """
     enum = enumeration or LatticeEnumeration(box, radius)
-    mask = enum.accept(gamma)
-    rows = enum.points[mask]
-    xy = enum.par_xy[mask]
+    rows, xy = enum.accept(gamma)
     order = np.lexsort(rows.T[::-1])
     out = []
     for i in order:
         lattice = tuple(int(v) for v in rows[i])
         out.append(QuasiPoint(lattice, lattice_to_cyclo(lattice),
                               (float(xy[i][0]), float(xy[i][1]))))
-    if rows.size and int(np.abs(rows).max()) >= enum.box:
-        warnings.warn(
-            f"accepted points reach the enumeration box (+-{enum.box}); "
-            "increase box to saturate the radius", stacklevel=2)
+    _warn_at_box(int(np.abs(rows).max(initial=0)), enum.box)
     return out
 
 
@@ -265,19 +285,22 @@ def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
                 enumeration: LatticeEnumeration | None = None) -> list[ScanEntry]:
     """Generate the quasilattice for each offset and report its measured
     rotational symmetry order, decided exactly on the accepted quasilattice
-    points, about the accepted point nearest the origin."""
+    points, about the accepted point nearest the origin.
+
+    Warns, once, when accepted points of any offset touch the enumeration box.
+    """
     if len(path) == 0:
         raise ValueError("path must contain at least one gamma")
     enum = enumeration or LatticeEnumeration(box, radius)
     out = []
+    reach = 0
     for gamma in path:
-        accepted = np.flatnonzero(enum.accept(gamma))
-        count = len(accepted)
+        rows, xy = enum.accept(gamma)
+        count = len(rows)
         if count == 0:
             out.append(ScanEntry(tuple(float(g) for g in gamma), 1, 0))
             continue
-        rows = enum.points[accepted]
-        xy = enum.par_xy[accepted]
+        reach = max(reach, int(np.abs(rows).max()))
         norms = (xy ** 2).sum(axis=1)
         near = np.flatnonzero(norms == norms.min())
         if len(near) > 1:
@@ -287,4 +310,5 @@ def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
         centered = [CycloPoint(*c) for c in (cyclo - cyclo[near[0]]).tolist()]
         order = symmetry_order(centered)
         out.append(ScanEntry(tuple(float(g) for g in gamma), order, count))
+    _warn_at_box(reach, enum.box)
     return out

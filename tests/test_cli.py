@@ -130,6 +130,30 @@ class TestGroupInput:
         assert err.startswith("error: ") and "more than two triangles" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", ["rhombs", "setb"])
+    @pytest.mark.parametrize("reverse_base", [False, True])
+    def test_doubled_triangle_without_twin_refused(self, tmp_path, capsys, policy,
+                                                   reverse_base):
+        # triangle 31 has no base twin, so only the repeat check sees it
+        # doubled; listing its base the other way round repeats it all the same
+        tiling = tmp_path / "s2.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "2", "--out", str(tiling))
+        lines = tiling.read_text().split("\n")
+        at = lines.index("triangles 50")
+        kind, apex, base0, base1, chirality, parent = lines[at + 1 + 31].split()
+        if reverse_base:
+            base0, base1 = base1, base0
+            chirality = {"+1": "-1", "-1": "+1"}[chirality]
+        lines[at] = "triangles 51"
+        lines.insert(at + 51, f"{kind} {apex} {base0} {base1} {chirality} {parent}")
+        tiling.write_text("\n".join(lines))
+        out = tmp_path / "out.qtile"
+        code, _, err = run(capsys, "group", str(tiling), "--policy", policy,
+                           "--out", str(out))
+        assert code == 1
+        assert err == "error: triangles 31 and 50 are one triangle listed twice\n"
+        assert not out.exists()
+
 
 class TestProjectAndScan:
     def test_project_writes_points(self, tmp_path, capsys):
@@ -148,6 +172,23 @@ class TestProjectAndScan:
         assert code == 0
         assert "0 accepted points" in err
         assert "projection 0.0 0.0 1e+308 3.0 3" in out.read_text()
+
+    @pytest.mark.parametrize("box", [3, 8])
+    def test_scan_warns_when_points_reach_the_box(self, tmp_path, box):
+        # a separate process: pytest would otherwise catch the warning
+        csv = tmp_path / "scan.csv"
+        src = str(Path(fivefold.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["scan", "--from", "0.01,0.0137,0.0071", "--to", "0.01,0.0137,0.0071",
+                "--steps", "2", "--radius", "8", "--box", str(box), "--csv", str(csv)]
+        done = subprocess.run([sys.executable, "-m", "fivefold.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        count = {3: 240, 8: 606}[box]
+        assert csv.read_text().split("\n")[1].endswith(f",1,{count}")
+        warned = f"accepted points reach the enumeration box (+-{box})" in done.stderr
+        assert warned == (box == 3)
 
     def test_scan_csv(self, tmp_path, capsys):
         csv = tmp_path / "scan.csv"

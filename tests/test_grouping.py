@@ -126,6 +126,13 @@ class TestGlueRhombs:
         with pytest.raises(ValueError, match="more than two triangles"):
             glue_rhombs(doubled)
 
+    def test_repeated_triangle_without_twin_refused(self):
+        # triangle 31 has no base twin: no base has three owners
+        patch = deflate_patch(seed_sun(), 2)
+        doubled = Patch(patch.triangles + (patch.triangles[31],))
+        with pytest.raises(ValueError, match="triangles 31 and 50 are one triangle listed twice"):
+            glue_rhombs(doubled)
+
     def test_single_triangle_is_leftover(self):
         tiling = glue_rhombs(Patch((canonical_acute(),)))
         assert count_tiles(tiling) == {CompositeKind.ACUTE_TRIANGLE: 1}
@@ -148,6 +155,12 @@ class TestDetectComposites:
     def test_empty_policy_rejected(self):
         with pytest.raises(ValueError):
             detect_composites(seed_wheel(), ())
+
+    def test_repeated_triangle_refused(self):
+        patch = deflate_patch(seed_sun(), 2)
+        doubled = Patch(patch.triangles + (patch.triangles[31],))
+        with pytest.raises(ValueError, match="triangles 31 and 50 are one triangle listed twice"):
+            detect_composites(doubled, SET_B)
 
     def test_wheel_setb_inventory(self):
         patch = deflate_patch(seed_wheel(), 5)

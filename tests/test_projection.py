@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.distance import pdist
 
@@ -36,6 +38,15 @@ def enum4():
 @pytest.fixture(scope="module")
 def basis():
     return projection_basis()
+
+
+@functools.cache
+def every_layer(enum):
+    """(rows, par_xy, internal) of every coordinate-sum layer the box holds,
+    in (sum, lexicographic) order."""
+    box = enum.box
+    layers = [enum.layer(s) for s in range(-5 * box, 5 * box + 1)]
+    return tuple(np.concatenate(a) for a in zip(*layers))
 
 
 class TestBasis:
@@ -87,8 +98,9 @@ class TestWindow:
         inflated = Window(window.normals,
                           lam * window.offsets - (1 - lam) * (window.normals @ centroid),
                           window.gamma)
-        base = window.shifted(GENERIC_GAMMA).contains(enum6.internal)
-        bigger = inflated.shifted(GENERIC_GAMMA).contains(enum6.internal)
+        internal = every_layer(enum6)[2]
+        base = window.shifted(GENERIC_GAMMA).contains(internal)
+        bigger = inflated.shifted(GENERIC_GAMMA).contains(internal)
         assert (bigger | ~base).all()  # base implies bigger
         assert bigger.sum() > base.sum()
 
@@ -115,7 +127,7 @@ class TestClosedFormWindow:
         hull = hull_window()
         window = build_window()
         accepted = 0
-        chunks = np.array_split(enum6.internal, 64)  # cache-sized residual blocks
+        chunks = np.array_split(every_layer(enum6)[2], 64)  # cache-sized residual blocks
         for gamma in criterion_11_path() + [GENERIC_GAMMA, symmetric_gamma()]:
             mask = np.concatenate([window.shifted(gamma).contains(c) for c in chunks])
             want = np.concatenate([hull.shifted(gamma).contains(c) for c in chunks])
@@ -214,16 +226,25 @@ def criterion_11_path():
 
 
 def reference_accept(enum, gamma):
-    """The window test on every enumerated point, without prefilters."""
+    """The window test on every row of every layer, without prefilters:
+    (rows, par_xy) of the accepted points, in (sum, lexicographic) order."""
+    rows, xy, internal = every_layer(enum)
     window = enum.window.shifted(gamma)
-    chunks = np.array_split(enum.internal, 64)  # cache-sized residual blocks
-    return np.concatenate([window.contains(c) for c in chunks])
+    chunks = np.array_split(internal, 64)  # cache-sized residual blocks
+    mask = np.concatenate([window.contains(c) for c in chunks])
+    return rows[mask], xy[mask]
+
+
+def assert_same_points(got, want):
+    assert len(got) == len(want) == 2
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 class TestPrefilter:
     def test_criterion_11_path_matches_full_window_test(self, enum6):
         for gamma in criterion_11_path():
-            assert np.array_equal(enum6.accept(gamma), reference_accept(enum6, gamma))
+            assert_same_points(enum6.accept(gamma), reference_accept(enum6, gamma))
 
     def test_band_edge_offsets(self, enum4):
         # sqrt(5) * gamma_z within 1e-12 of an integer puts whole sum layers
@@ -233,9 +254,9 @@ class TestPrefilter:
             for nudge in (-1e-12, 0.0, 1e-12):
                 for xy in ((0.0, 0.0), GENERIC_GAMMA[:2]):
                     gamma = (*xy, (k + nudge) / math.sqrt(5))
-                    mask = enum4.accept(gamma)
-                    assert np.array_equal(mask, reference_accept(enum4, gamma))
-                    accepted += int(mask.sum())
+                    rows, xy = enum4.accept(gamma)
+                    assert_same_points((rows, xy), reference_accept(enum4, gamma))
+                    accepted += len(rows)
         assert accepted > 0
 
     def test_offsets_at_the_circumradius(self, enum4):
@@ -246,9 +267,9 @@ class TestPrefilter:
             for rho in (reach * (1 - 1e-9), reach, reach * (1 + 1e-9)):
                 gamma = (rho * math.cos(theta), rho * math.sin(theta),
                          symmetric_gamma()[2])
-                mask = enum4.accept(gamma)
-                assert np.array_equal(mask, reference_accept(enum4, gamma))
-                accepted += int(mask.sum())
+                rows, xy = enum4.accept(gamma)
+                assert_same_points((rows, xy), reference_accept(enum4, gamma))
+                accepted += len(rows)
         assert accepted > 0
 
     def test_points_just_inside_window_corners_kept(self, enum4):
@@ -262,35 +283,75 @@ class TestPrefilter:
                    | (corners[:, 2] == corners[:, 2].max())
                    | np.isclose(norms, norms.max()))
         assert extreme.sum() == 12
-        row = int(np.flatnonzero((enum4.points == 0).all(axis=1))[0])
+        rows, _, internal = enum4.layer(0)
+        row = int(np.flatnonzero((rows == 0).all(axis=1))[0])
         for corner in corners[extreme]:
-            gamma = tuple(enum4.internal[row] - center - (corner - center) * (1 - 1e-7))
-            mask = enum4.accept(gamma)
-            assert np.array_equal(mask, reference_accept(enum4, gamma))
-            assert mask[row]
+            gamma = tuple(internal[row] - center - (corner - center) * (1 - 1e-7))
+            got = enum4.accept(gamma)
+            assert_same_points(got, reference_accept(enum4, gamma))
+            assert (got[0] == 0).all(axis=1).any()
 
     @pytest.mark.parametrize("gamma", [(0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
                                        (0.0, 0.0, math.nan), (math.nan, 0.0, -1.0),
                                        (math.inf, 0.0, -1.0)])
     def test_non_finite_offsets_accept_nothing(self, enum4, gamma):
-        mask = enum4.accept(gamma)
-        assert not mask.any()
-        assert np.array_equal(mask, reference_accept(enum4, gamma))
+        got = enum4.accept(gamma)
+        assert len(got[0]) == 0
+        assert_same_points(got, reference_accept(enum4, gamma))
 
     @pytest.mark.parametrize("gamma", [(0.0, 0.0, 1e308), (0.0, 0.0, -1e308)])
     def test_offsets_past_the_float_range_accept_nothing(self, enum4, gamma):
         # sqrt(5) * gamma_z overflows to +-inf: no point is accepted, nothing raises
-        mask = enum4.accept(gamma)
-        assert not mask.any()
-        assert np.array_equal(mask, reference_accept(enum4, gamma))
+        got = enum4.accept(gamma)
+        assert len(got[0]) == 0
+        assert_same_points(got, reference_accept(enum4, gamma))
 
     @pytest.mark.parametrize("gamma", [(1e308, 0.0, -1.0), (0.0, -1e308, -1.0),
                                        (1e200, 1e200, -1.0)])
     def test_far_in_plane_offsets_accept_nothing_without_warning(self, enum4, gamma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = enum4.accept(gamma)
-        assert not mask.any()
+            rows, xy = enum4.accept(gamma)
+        assert len(rows) == len(xy) == 0
+
+    def test_band_is_clamped_to_the_box_layers(self, monkeypatch):
+        # at box 2 the outermost layers +-10 hold one point each; offsets
+        # whose band reaches past them, or lies far beyond every layer,
+        # visit no more than the 21 layers the box holds
+        enum = LatticeEnumeration(box=2, radius=2.0)
+        assert enum.layer(10)[0].tolist() == [[2] * 5]
+        assert enum.layer(-10)[0].tolist() == [[-2] * 5]
+        half = math.sqrt(5) / 2  # the window's diagonal centre
+        # each offset with the outermost point its window holds, if any
+        cases = [
+            ((0.0, 0.0, 1e15), None),
+            ((0.0, 0.0, -1e15), None),
+            ((0.0, 0.0, 10 / math.sqrt(5) - half), [2] * 5),     # centred on it
+            ((0.0, 0.0, -10 / math.sqrt(5) - half), [-2] * 5),   # centred on it
+            ((0.0, 0.0, 11.5 / math.sqrt(5)), None),     # band of layer 10 alone
+            ((0.0, 0.0, -16.5 / math.sqrt(5)), None),    # band of layer -10 alone
+        ]
+        layer = enum.layer
+        visited = []
+
+        def counting(s):
+            visited.append(s)
+            return layer(s)
+
+        for gamma, corner in cases:
+            want = reference_accept(enum, gamma)
+            visited.clear()
+            monkeypatch.setattr(enum, "layer", counting)
+            got = enum.accept(gamma)
+            monkeypatch.undo()
+            assert_same_points(got, want)
+            if corner is None:
+                assert len(got[0]) == 0
+            else:
+                assert corner in got[0].tolist()
+            assert len(visited) <= 10 * enum.box + 1
+            assert all(abs(s) <= 10 for s in visited)
+        assert visited == [-10]
 
     def test_window_test_sees_a_small_fraction(self, enum6, monkeypatch):
         seen = []
@@ -300,9 +361,11 @@ class TestPrefilter:
             seen.append(len(points))
             return residuals(self, points)
 
+        total = len(every_layer(enum6)[0])
+        assert total == 706047
         monkeypatch.setattr(Window, "residuals", counting)
-        mask = enum6.accept(symmetric_gamma())
-        assert 0 < mask.sum() <= sum(seen) < len(enum6.points) // 100
+        rows, _ = enum6.accept(symmetric_gamma())
+        assert 0 < len(rows) <= sum(seen) < total // 100
 
     def test_layered_build_matches_brute_force(self, basis):
         enum = LatticeEnumeration(box=3, radius=2.0)
@@ -310,20 +373,45 @@ class TestPrefilter:
         xy = cube @ basis.par.T
         inside = cube[(xy ** 2).sum(axis=1) <= 4.0]
         assert len(inside) > 100
-        assert enum.points.tolist() == inside.tolist()  # lexicographic order
-        assert np.array_equal(enum.par_xy, enum.points @ basis.par.T)
+        rows, xy, _ = every_layer(enum)
+        order = np.lexsort(rows.T[::-1])
+        assert rows[order].tolist() == inside.tolist()
+        # bit for bit the projection of the whole set in one product
+        assert xy[order].tobytes() == (inside @ basis.par.T).tobytes()
+        for s in range(-15, 16):  # each layer in lexicographic order
+            layer = enum.layer(s)[0]
+            assert (layer.sum(axis=1) == s).all()
+            assert layer.tolist() == sorted(layer.tolist())
 
     def test_internal_plane_is_star_map(self, enum6):
         # eps -> eps^2 sends z0 + z1 eps + z2 eps^2 + z3 eps^3 to
         # (z0 - z2) + (z3 - z2) eps + (z1 - z2) eps^2 - z2 eps^3
         scale = math.sqrt(2 / 5)
-        for row in range(0, len(enum6.points), 7919):
-            z0, z1, z2, z3 = lattice_to_cyclo(enum6.points[row]).coords()
+        points, _, internal = every_layer(enum6)
+        order = np.lexsort(points.T[::-1])  # sample the rows in lexicographic order
+        points, internal = points[order], internal[order]
+        for row in range(0, len(points), 7919):
+            z0, z1, z2, z3 = lattice_to_cyclo(points[row]).coords()
             star = CycloPoint(z0 - z2, z3 - z2, z1 - z2, -z2).embed()
-            assert enum6.internal[row, :2] == pytest.approx(
+            assert internal[row, :2] == pytest.approx(
                 [scale * star[0], scale * star[1]], abs=1e-9)
-            assert enum6.internal[row, 2] == pytest.approx(
-                enum6.points[row].sum() / math.sqrt(5), abs=1e-12)
+            assert internal[row, 2] == pytest.approx(
+                points[row].sum() / math.sqrt(5), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.floats(0.0, 1.0), near=st.booleans(), theta=st.floats(0.0, 2 * math.pi),
+       k=st.integers(-36, 31), nudge=st.sampled_from((-1e-12, 0.0, 1e-12)),
+       edge=st.sampled_from((0.0, -5.0)))
+def test_accept_matches_the_full_window_test(enum4, t, near, theta, k, nudge, edge):
+    # the in-plane offset lies within the window's reach of the origin
+    # (near) or anywhere within reach of a star-map image; sqrt(5) * gamma_z
+    # lies within 1e-12 of an integer, which puts a sum layer on the
+    # window's bottom (edge 0) or top (edge -5) apex
+    rho = t * (1.5 if near else enum4._far)
+    gamma = (rho * math.cos(theta), rho * math.sin(theta),
+             (k + edge + nudge) / math.sqrt(5))
+    assert_same_points(enum4.accept(gamma), reference_accept(enum4, gamma))
 
 
 class TestScan:
@@ -342,6 +430,17 @@ class TestScan:
         entries = scan_offset([GENERIC_GAMMA], 6.0, 8, enumeration=enum6)
         assert entries[0].order in (1, 2, 5, 10)
         assert entries[0].order == 1
+
+    def test_points_at_the_box_warn(self):
+        with pytest.warns(UserWarning, match=r"enumeration box \(\+-3\)"):
+            entries = scan_offset([GENERIC_GAMMA], 8.0, 3)
+        assert entries[0].count == 240
+
+    def test_criterion_11_scan_stays_inside_the_box(self, enum6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = scan_offset(criterion_11_path(), 6.0, 8, enumeration=enum6)
+        assert all(e.count > 100 for e in entries)
 
     def test_empty_path_rejected(self, enum6):
         with pytest.raises(ValueError):
