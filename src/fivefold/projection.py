@@ -17,10 +17,13 @@ diagonal projection is the integer sum of its coordinates over sqrt(5).
 The window is only sqrt(5) thick along the diagonal and fits in a disc of
 the internal plane.  An enumeration therefore builds its points one
 coordinate-sum layer at a time, when an offset first reads that layer,
-and keeps each layer; per offset it hands the float window test only the
-points of the layers in the diagonal band whose star-map image lies in
-that disc.  Both prefilters reject only points provably outside the
-closed window, so every accept decision is the float test itself.
+and keeps each layer with an index of its rows by star-map x.  Per offset
+it visits, in the layers of the diagonal band, only the rows whose
+star-map x lies within the disc's reach, and hands the float window test
+those whose star-map image lies in that disc.  Both prefilters reject
+only points provably outside the closed window, so every accept decision
+is the float test itself.  A scan decides each offset's rotational order
+exactly, on the integer rows of its accepted points.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import CycloPoint
-from .triangles import symmetry_order
+from .triangles import _symmetry_order
 
 __all__ = [
     "ProjectionBasis",
@@ -178,7 +181,9 @@ class LatticeEnumeration:
     band its window spans, widened by one integer on each side.  Of those
     rows it hands the window test the ones whose star-map image lies
     within the window's internal-plane circumradius (plus STAR_GUARD) of
-    the offset."""
+    the offset.  With each layer it keeps an index of its rows by
+    star-map x cell, 4 bytes a row, so an offset reads only the rows in
+    the cells within that reach of its x, not the whole layer."""
 
     def __init__(self, box: int, radius: float):
         if box < 1:
@@ -204,6 +209,13 @@ class LatticeEnumeration:
         # a star-map image sum_k z_k perp[:, k] has |z_k| <= box, so an
         # in-plane offset farther out than this has no image within reach
         self._far = reach + box * float(np.linalg.norm(self.basis.perp, axis=0).sum())
+        # star-map x cells of a quarter reach, counted from -_far: every
+        # row's x lies in (-_far, _far), so there are at most 2^14 + 1
+        # cells and a cell id fits in int16
+        self._half = reach + STAR_GUARD
+        self._per_cell = 1.0 / max(reach / 4, self._far / 2 ** 13)
+        self._cells = int(self._cell(self._far)) + 1
+        self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def layer(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, par_xy, internal) of the box points with coordinate sum
@@ -216,14 +228,30 @@ class LatticeEnumeration:
             xy = _project(rows, self.basis.par)
             near = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= self.radius * self.radius
             rows, xy = rows[near], xy[near]
-            self._layers[s] = (rows, xy, _project(rows, self._proj3))
+            internal = _project(rows, self._proj3)
+            self._layers[s] = (rows, xy, internal)
+            # the row positions sorted by star-map x cell, lexicographic
+            # within a cell (a stable sort of int16, which numpy does by
+            # radix), and where each cell starts among them
+            cells = self._cell(internal[:, 0]).astype(np.int16)
+            order = np.argsort(cells, kind="stable").astype(np.int32)
+            counts = np.bincount(cells, minlength=self._cells)
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            self._index[s] = (order, starts)
         return self._layers[s]
+
+    def _cell(self, x):
+        """The star-map x cell of x, rounded alike for a row and an offset,
+        and so nondecreasing in x."""
+        return np.floor((x + self._far) * self._per_cell)
 
     def accept(self, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(rows, par_xy) of the points strictly inside the gamma-shifted
         window, in (coordinate sum, lexicographic) order.  Rows outside the
         diagonal band or the star-map disc lie outside the closed window by
-        more than float error and skip the window test."""
+        more than float error and skip the window test; the disc test reads
+        only the rows the star-map x index puts within its reach, widened
+        by STAR_GUARD, and keeps them in lexicographic order."""
         none = (np.empty((0, 5), dtype=np.int64), np.empty((0, 2)))
         gx, gy, gz = (float(g) for g in gamma)
         lo = SQRT5 * (gz + self._depth[0])
@@ -238,12 +266,18 @@ class LatticeEnumeration:
         # coordinate sums lie in [-5 box, 5 box]
         first = max(math.floor(lo) - 1, -5 * self.box)
         last = min(math.ceil(hi) + 1, 5 * self.box)
+        # the cells that hold every x within _half of gx, which is past the
+        # reach of the disc test by far more than its float error
+        left = max(int(self._cell(gx - self._half)), 0)
+        right = min(int(self._cell(gx + self._half)) + 1, self._cells)
         near = []
         for s in range(first, last + 1):
             rows, xy, internal = self.layer(s)
-            dx = internal[:, 0] - gx
-            dy = internal[:, 1] - gy
-            keep = dx * dx + dy * dy <= self._reach_sq
+            order, starts = self._index[s]
+            pos = order[starts[left]:starts[right]]
+            dx = internal[pos, 0] - gx
+            dy = internal[pos, 1] - gy
+            keep = np.sort(pos[dx * dx + dy * dy <= self._reach_sq])
             near.append((rows[keep], xy[keep], internal[keep]))
         if not near:
             return none
@@ -272,11 +306,8 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
     enum = enumeration or LatticeEnumeration(box, radius)
     rows, xy = enum.accept(gamma)
     order = np.lexsort(rows.T[::-1])
-    out = []
-    for i in order:
-        lattice = tuple(int(v) for v in rows[i])
-        out.append(QuasiPoint(lattice, lattice_to_cyclo(lattice),
-                              (float(xy[i][0]), float(xy[i][1]))))
+    out = [QuasiPoint(tuple(lattice), lattice_to_cyclo(lattice), tuple(point))
+           for lattice, point in zip(rows[order].tolist(), xy[order].tolist())]
     _warn_at_box(int(np.abs(rows).max(initial=0)), enum.box)
     return out
 
@@ -307,8 +338,7 @@ def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
             near = near[np.lexsort(rows[near].T[::-1])[:1]]
         # the lattice_to_cyclo reduction, centred on the nearest point
         cyclo = rows[:, :4] - rows[:, 4:]
-        centered = [CycloPoint(*c) for c in (cyclo - cyclo[near[0]]).tolist()]
-        order = symmetry_order(centered)
+        order = _symmetry_order(cyclo - cyclo[near[0]])
         out.append(ScanEntry(tuple(float(g) for g in gamma), order, count))
     _warn_at_box(reach, enum.box)
     return out

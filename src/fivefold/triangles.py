@@ -20,8 +20,10 @@ tau^2, the obtuse base tau^4.
 A ``Patch`` is stored as arrays (coordinates, kind, chirality, parent), and
 deflation, vertex numbering, validation and homothety run on them;
 ``Triangle`` is the exact object form of one triangle, built on request.
-The rim of a set of triangles (``_rim``, ``_loops``) and exact products
-with a point (``_times``) are decided here alone, for the SVG layer too.
+The rim of a set of triangles (``_rim``, ``_loops``), exact products
+with a point (``_times``) and the rotational order of a point set
+(``_symmetry_order``) are decided here alone, for the SVG layer and the
+projection scan too.
 numpy is imported at first use, so importing this module does not load it.
 """
 
@@ -545,17 +547,26 @@ def homothety_rotation(patch: Patch, tau_exponent: int, rot72_steps: int) -> Pat
 
 def symmetry_order(points: Iterable[CycloPoint], center: CycloPoint = ZERO) -> int:
     """Largest n in {10, 5, 2, 1} whose 360/n-degree rotation about
-    `center` maps the point set onto itself, decided exactly."""
-    centered = frozenset(p - center for p in points)
-    rotations = (
-        (10, lambda p: p * EPS1),
-        (5, lambda p: p.rotate72()),
-        (2, lambda p: -p),
-    )
-    for order, rot in rotations:
-        # a rotation is injective, so it maps the finite set onto itself
-        # exactly when every image lands in the set: stop at the first miss
-        if all(rot(p) in centered for p in centered):
+    `center` maps the point set onto itself, decided exactly; 10 for the
+    empty set."""
+    return _symmetry_order(_coord_array([(p - center).coords() for p in points]))
+
+
+def _symmetry_order(points: np.ndarray) -> int:
+    """``symmetry_order`` about the origin of the set of (N, 4) coordinate
+    rows, repeats allowed: sorted and without repeats, the rows are the
+    set, and a rotation, being injective, maps it onto itself exactly
+    when its images, sorted, are the same rows."""
+    import numpy as np
+
+    points = points.reshape(-1, 4)
+    points = points[np.lexsort(points.T[::-1])]
+    fresh = np.ones(len(points), dtype=bool)
+    fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
+    points = points[fresh]
+    for order, factor in ((10, EPS1), (5, EPS), (2, -ONE)):
+        image = _times(points, factor)
+        if np.array_equal(image[np.lexsort(image.T[::-1])], points):
             return order
     return 1
 

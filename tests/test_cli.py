@@ -190,6 +190,21 @@ class TestProjectAndScan:
         warned = f"accepted points reach the enumeration box (+-{box})" in done.stderr
         assert warned == (box == 3)
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["scan", "--from", "0,0,-1.118033988749895",
+          "--to", "0.021,0.034,-0.928033988749895", "--steps", "25", "--csv"],
+         "f160c0955d579afde579a1b009e14d87c3ecad5dfcf0b85af4fde6091c89c06f"),
+        (["project", "--radius", "6.0", "--gamma", "0.01,0.0137,0.0071", "--out"],
+         "0ce80e4f7312dc43c5262de78087b776654c897f860535fd6d0dfef9baa40b57"),
+    ], ids=["scan-z10-to-generic", "project-criterion-10"])
+    def test_projection_outputs_unchanged(self, tmp_path, capsys, argv, digest):
+        # a scan from the symmetric cut to criterion 11's generic end, whose
+        # orders are 10, 5 and 1, and criterion 10's cut, at radius 6, box 8
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, *argv, str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_scan_csv(self, tmp_path, capsys):
         csv = tmp_path / "scan.csv"
         code, _, err = run(capsys, "scan", "--from", "0,0,-1.118033988749895",

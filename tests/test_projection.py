@@ -353,6 +353,54 @@ class TestPrefilter:
             assert all(abs(s) <= 10 for s in visited)
         assert visited == [-10]
 
+    def test_disc_and_slice_edges_within_an_ulp_of_a_row(self, enum4, monkeypatch):
+        # offsets on a row's star-map y whose disc edge, or the edge of the
+        # x slice the index reads, lies within 1 ulp of that row's star-map
+        # x: the window test sees exactly the rows that the disc test keeps
+        # on the whole of each layer visited, in (sum, lexicographic) order
+        reach = math.sqrt(enum4._reach_sq)
+        mid = (enum4._depth[0] + enum4._depth[1]) / 2  # the window's diagonal centre
+        seen, visited = [], []
+        residuals, layer = Window.residuals, enum4.layer
+
+        def window_rows(self, points):
+            seen.append(points)
+            return residuals(self, points)
+
+        def counting(s):
+            visited.append(s)
+            return layer(s)
+
+        cases = []  # (layer, gamma)
+        for s in (0, 3, -7):
+            rows, _, internal = layer(s)
+            for x, y, z in internal[::len(rows) // 5]:
+                for gx in (x - reach, x + reach, x - enum4._half, x + enum4._half):
+                    for gx in (np.nextafter(gx, -math.inf), gx, np.nextafter(gx, math.inf)):
+                        cases.append((s, (float(gx), float(y), float(z - mid))))
+        for s, gamma in cases:
+            want = reference_accept(enum4, gamma)
+            seen.clear()
+            visited.clear()
+            monkeypatch.setattr(Window, "residuals", window_rows)
+            monkeypatch.setattr(enum4, "layer", counting)
+            got = enum4.accept(gamma)
+            monkeypatch.undo()
+            assert_same_points(got, want)
+            assert s in visited
+            near = np.concatenate([layer(v)[2] for v in visited])
+            dx = near[:, 0] - gamma[0]
+            dy = near[:, 1] - gamma[1]
+            near = near[dx * dx + dy * dy <= enum4._reach_sq]
+            assert len(seen) == 1 and np.array_equal(seen[0], near)
+
+    def test_star_x_index_costs_four_bytes_a_row(self, enum6):
+        for s in range(-4, 8):
+            rows = enum6.layer(s)[0]
+            order, starts = enum6._index[s]
+            assert order.nbytes == 4 * len(rows)
+            assert len(starts) == enum6._cells + 1 <= 2 ** 14 + 2
+
     def test_window_test_sees_a_small_fraction(self, enum6, monkeypatch):
         seen = []
         residuals = Window.residuals

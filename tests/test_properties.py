@@ -1,9 +1,11 @@
 """Property tests: the exact patch validator against an exact brute force,
-the reader's triangle shape check against ``check_triangle``, and the
-.qtile reader's canonical form under token-level mutations."""
+the reader's triangle shape check against ``check_triangle``, the .qtile
+reader's canonical form under token-level mutations, and the array
+symmetry order against a frozenset reference."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,9 +22,11 @@ from fivefold.document import (
 from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, cross_sign, dot2
 from fivefold.grouping import glue_rhombs, templates
 from fivefold.triangles import (
+    _INT64_BOUND,
     Patch,
     Triangle,
     TriangleKind,
+    _symmetry_order,
     _topology_problem,
     check_triangle,
     canonical_acute,
@@ -32,6 +36,7 @@ from fivefold.triangles import (
     seed_patch,
     seed_sun,
     seed_wheel,
+    symmetry_order,
     validate_patch,
 )
 
@@ -269,3 +274,70 @@ def test_reader_accepts_only_canonical_form(data):
     except DocumentError:
         return
     assert write_tiling(doc) == data
+
+
+# ------------------------------------------------------------ symmetry order
+
+ROTATIONS = ((10, EPS1), (5, EPS), (2, -ONE))
+
+
+def _reference_order(points, center):
+    """The rotational order by its definition, on a frozenset of points."""
+    centered = frozenset(p - center for p in points)
+    for order, factor in ROTATIONS:
+        if all(p * factor in centered for p in centered):
+            return order
+    return 1
+
+
+# small coordinates, ones past _INT64_BOUND, and ones past int64 itself
+coordinates = (st.integers(-40, 40)
+               | st.integers(_INT64_BOUND - 3, _INT64_BOUND + 3).map(lambda v: v * (-1) ** v)
+               | st.integers(-2 ** 70, 2 ** 70))
+points = st.builds(CycloPoint, coordinates, coordinates, coordinates, coordinates)
+
+
+@st.composite
+def point_sets(draw):
+    """(points, center, n, perturbed): the orbits of a few points under the
+    rotation of order n about center, in any order and with repeats,
+    perhaps with one point dropped or one added."""
+    n = draw(st.sampled_from((1, 2, 5, 10)))
+    step = dict(ROTATIONS).get(n, ONE)
+    orbits = []
+    for p in draw(st.lists(points, max_size=4)):
+        for _ in range(n):
+            orbits.append(p)
+            p = p * step
+    perturbed = False
+    if orbits and draw(st.booleans()):
+        del orbits[draw(st.integers(0, len(orbits) - 1))]
+        perturbed = True
+    if draw(st.booleans()):
+        orbits.append(draw(points))
+        perturbed = True
+    if orbits:
+        orbits += draw(st.lists(st.sampled_from(orbits), max_size=3))  # repeats
+    center = draw(st.just(ZERO) | points)
+    shuffled = draw(st.permutations([p + center for p in orbits]))
+    return shuffled, center, n, perturbed
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_symmetry_order_matches_the_frozenset_reference(case):
+    pts, center, n, perturbed = case
+    want = _reference_order(pts, center)
+    assert symmetry_order(pts, center) == want
+    if not perturbed:  # each orbit is closed under the rotation of order n
+        assert want % n == 0
+    rows = [(p - center).coords() for p in pts]
+    if all(abs(v) < 2 ** 63 for row in rows for v in row):
+        # int64 rows go straight in; _times leaves int64 where it could overflow
+        assert _symmetry_order(np.array(rows, dtype=np.int64).reshape(-1, 4)) == want
+
+
+def test_symmetry_order_of_the_empty_set_is_ten():
+    assert symmetry_order([]) == 10
+    assert symmetry_order([], TAU_C) == 10
+    assert _symmetry_order(np.empty((0, 4), dtype=np.int64)) == 10
