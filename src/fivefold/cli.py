@@ -262,12 +262,13 @@ def _cmd_stats(args) -> int:
     if args.file is not None:
         with open(args.file, "rb") as f:
             doc = read_tiling(f.read())
-        if doc.groups is None:
+        # the kinds alone, without building the groups tuple
+        if doc._group_arrays is None:
             print("file has no groups section; run `fivefold group` first",
                   file=sys.stderr)
             return 1
         counts: dict[str, int] = {}
-        for kind, _indices in doc.groups:
+        for kind in doc._group_arrays[0]:
             counts[kind] = counts.get(kind, 0) + 1
         print("kind counts:")
         for kind in sorted(counts):

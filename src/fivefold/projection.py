@@ -15,15 +15,14 @@ projection is the same for the Galois star map eps -> eps^2, and its
 diagonal projection is the integer sum of its coordinates over sqrt(5).
 
 The window is only sqrt(5) thick along the diagonal and fits in a disc of
-the internal plane.  An enumeration therefore builds its points one
-coordinate-sum layer at a time, when an offset first reads that layer,
-and keeps each layer with an index of its rows by star-map x.  Per offset
-it visits, in the layers of the diagonal band, only the rows whose
-star-map x lies within the disc's reach, and hands the float window test
-those whose star-map image lies in that disc.  Both prefilters reject
-only points provably outside the closed window, so every accept decision
-is the float test itself.  A scan decides each offset's rotational order
-exactly, on the integer rows of its accepted points.
+the internal plane.  So an enumeration lists, for each offset, the
+reductions c in Z[eps] in the ellipsoid that holds the radius's disc of
+the physical plane and the window's disc of the internal plane, and lifts
+each to the rows of the window's diagonal band.  The ellipsoid and the
+band reject only points provably outside the closed window, so every
+accept decision is the float test itself.  A scan decides each offset's
+rotational order exactly, on the integer rows of its accepted points,
+about the one nearest the origin.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import CycloPoint
-from .triangles import _symmetry_order
+from .exact import CycloPoint, sq_norm_ab
+from .triangles import _golden_signs, _symmetry_order
 
 __all__ = [
     "ProjectionBasis",
@@ -57,9 +56,10 @@ __all__ = [
 # this, so acceptance decisions respect exact symmetries.
 WINDOW_MARGIN = 1e-9
 
-# Slack on the window's internal-plane circumradius in the star-map
-# prefilter, far above the float error of a projected coordinate.
-STAR_GUARD = 1e-6
+# Relative widening of the physical radius in the enumeration's ellipsoid,
+# and the widening of each of its integer intervals, in lattice units: far
+# above the float error of the radius test and of an interval's ends.
+ENUM_GUARD = 1e-9
 
 SQRT5 = math.sqrt(5.0)
 
@@ -172,18 +172,18 @@ def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 class LatticeEnumeration:
-    """Box enumeration of Z^5 within a physical radius, with cached
-    projections, reusable across window offsets.
+    """The points of Z^5 in a box within a physical radius, enumerated
+    afresh for each window offset (gx, gy, gz).
 
-    The points are built one coordinate-sum layer at a time, on first use,
-    and each layer is kept: the diagonal projection of a point with sum s
-    is s/sqrt(5), so an offset only ever reads the layers of the diagonal
-    band its window spans, widened by one integer on each side.  Of those
-    rows it hands the window test the ones whose star-map image lies
-    within the window's internal-plane circumradius (plus STAR_GUARD) of
-    the offset.  With each layer it keeps an index of its rows by
-    star-map x cell, 4 bytes a row, so an offset reads only the rows in
-    the cells within that reach of its x, not the whole layer."""
+    A row x has the physical and internal images p(c) = par[:, :4] c and
+    q(c) = perp[:, :4] c of its reduction c = (x0-x4, ..., x3-x4).  A row
+    the offset accepts has |p(c)| <= radius and q(c) within the window's
+    internal-plane circumradius, the reach, of (gx, gy), so c lies in the
+    ellipsoid Q(c) = |p(c)|^2 / R'^2 + |q(c) - (gx, gy)|^2 / reach^2 <= 2.
+    R' is the radius held between the reach and the box's farthest physical
+    image (a wider disc only adds rows the float tests drop, and keeps Q
+    well conditioned) and widened by ENUM_GUARD.  Only constants are held:
+    U, the upper Cholesky factor of Q's form, among them."""
 
     def __init__(self, box: int, radius: float):
         if box < 1:
@@ -195,94 +195,83 @@ class LatticeEnumeration:
         self.basis = projection_basis()
         self.window = build_window(self.basis)
         self._proj3 = np.vstack([self.basis.perp, self.basis.delta])
-        # every point's first four coordinates, in lexicographic order, and
-        # a zero fifth: a layer's sum fixes the fifth
-        axes = [np.arange(-box, box + 1)] * 4
-        self._tail = np.zeros(((2 * box + 1) ** 4, 5), dtype=np.int64)
-        self._tail[:, :4] = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        self._tail_sum = self._tail.sum(axis=1)
-        self._layers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         corners = cube_vertex_projections(self.basis)
         self._depth = (float(corners[:, 2].min()), float(corners[:, 2].max()))
-        reach = float(np.sqrt((corners[:, :2] ** 2).sum(axis=1)).max()) + STAR_GUARD
-        self._reach_sq = reach * reach
-        # a star-map image sum_k z_k perp[:, k] has |z_k| <= box, so an
-        # in-plane offset farther out than this has no image within reach
-        self._far = reach + box * float(np.linalg.norm(self.basis.perp, axis=0).sum())
-        # star-map x cells of a quarter reach, counted from -_far: every
-        # row's x lies in (-_far, _far), so there are at most 2^14 + 1
-        # cells and a cell id fits in int16
-        self._half = reach + STAR_GUARD
-        self._per_cell = 1.0 / max(reach / 4, self._far / 2 ** 13)
-        self._cells = int(self._cell(self._far)) + 1
-        self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._reach = float(np.hypot(corners[:, 0], corners[:, 1]).max())
+        rim = box * float(np.linalg.norm(self.basis.par, axis=0).sum())
+        wide = min(max(radius, self._reach), rim) * (1 + ENUM_GUARD)
+        # Q(c) = |A (c - c0)|^2 for A = diag(1/R', 1/R', 1/reach, 1/reach) M,
+        # c0 = M^-1 (0, 0, gx, gy) and M = (par[:, :4]; perp[:, :4]); U is
+        # A's QR factor R, which keeps its precision, with a positive diagonal
+        m = np.vstack([self.basis.par[:, :4], self.basis.perp[:, :4]])
+        r = np.linalg.qr(m / np.repeat([wide, self._reach], 2)[:, None], mode="r")
+        self._u = r * np.sign(np.diag(r))[:, None]
+        self._centre = np.linalg.inv(m)[:, 2:]
 
-    def layer(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, par_xy, internal) of the box points with coordinate sum
-        s within the physical radius, rows in lexicographic order."""
-        if s not in self._layers:
-            x4 = s - self._tail_sum
-            keep = np.flatnonzero(np.abs(x4) <= self.box)
-            rows = self._tail[keep]
-            rows[:, 4] = x4[keep]
-            xy = _project(rows, self.basis.par)
-            near = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= self.radius * self.radius
-            rows, xy = rows[near], xy[near]
-            internal = _project(rows, self._proj3)
-            self._layers[s] = (rows, xy, internal)
-            # the row positions sorted by star-map x cell, lexicographic
-            # within a cell (a stable sort of int16, which numpy does by
-            # radix), and where each cell starts among them
-            cells = self._cell(internal[:, 0]).astype(np.int16)
-            order = np.argsort(cells, kind="stable").astype(np.int32)
-            counts = np.bincount(cells, minlength=self._cells)
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            self._index[s] = (order, starts)
-        return self._layers[s]
+    def _ellipsoid(self, c0: np.ndarray) -> np.ndarray:
+        """The integer c with Q(c) <= 2 and each |c_i| <= 2 box, breadth
+        first from c_3 to c_0: each partial vector leaves c_i one interval.
 
-    def _cell(self, x):
-        """The star-map x cell of x, rounded alike for a row and an offset,
-        and so nondecreasing in x."""
-        return np.floor((x + self._far) * self._per_cell)
+        A row the float tests accept has Q below 2 by about 2e-9: q lies in
+        the window by its 1e-9 margin, and |p| <= radius within float
+        error, far below ENUM_GUARD of R' >= reach.  The intervals, widened
+        by ENUM_GUARD, miss no such row.  A row of the box has |c_i| =
+        |x_i - x4| <= 2 box, so the clip drops none."""
+        u, limit = self._u, 2 * self.box
+        c = np.empty((1, 0), dtype=np.int64)  # the partial vectors
+        budget = np.full(1, 2.0)  # what each leaves of Q's bound
+        for i in range(3, -1, -1):
+            # (u_ii (c_i - c0_i) + shift)^2 <= budget, shift from c_i+1...
+            shift = (c - c0[i + 1:]) @ u[i, i + 1:]
+            mid = c0[i] - shift / u[i, i]
+            half = np.sqrt(np.maximum(budget, 0.0)) / u[i, i] + ENUM_GUARD
+            lo = np.maximum(np.ceil(mid - half), -limit)
+            hi = np.minimum(np.floor(mid + half), limit)
+            count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+            parent = np.repeat(np.arange(len(c)), count)
+            step = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+            ci = lo[parent].astype(np.int64) + step
+            term = u[i, i] * (ci - c0[i]) + shift[parent]
+            c = np.column_stack([ci, c[parent]])
+            budget = budget[parent] - term * term
+        return c
 
     def accept(self, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, par_xy) of the points strictly inside the gamma-shifted
-        window, in (coordinate sum, lexicographic) order.  Rows outside the
-        diagonal band or the star-map disc lie outside the closed window by
-        more than float error and skip the window test; the disc test reads
-        only the rows the star-map x index puts within its reach, widened
-        by STAR_GUARD, and keeps them in lexicographic order."""
+        """(rows, par_xy) of the box points within the physical radius that
+        lie strictly inside the gamma-shifted window, in (coordinate sum,
+        lexicographic) order.  Each c of the ellipsoid gives the one or two
+        rows (c + x4, x4) whose sum s = sum(c) + 5 x4 lies in the window's
+        diagonal band, widened by one on each side; those in the box go
+        through the float radius test, then the float window test."""
         none = (np.empty((0, 5), dtype=np.int64), np.empty((0, 2)))
         gx, gy, gz = (float(g) for g in gamma)
         lo = SQRT5 * (gz + self._depth[0])
         hi = SQRT5 * (gz + self._depth[1])
-        # a non-finite gz, or one so large that its band edge overflows, puts
-        # the window past every point: the window test accepts nothing there
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            return none
-        # nor does one with no star-map image in reach, where dx * dx may overflow
-        if not math.hypot(gx, gy) <= self._far:
+        with np.errstate(all="ignore"):  # a huge offset's centre may overflow
+            c0 = self._centre @ (gx, gy)
+        # a non-finite offset, or one so large that its band edge or centre
+        # overflows, puts the window past every point: the window test
+        # accepts nothing there
+        if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(c0).all()):
             return none
         # coordinate sums lie in [-5 box, 5 box]
         first = max(math.floor(lo) - 1, -5 * self.box)
         last = min(math.ceil(hi) + 1, 5 * self.box)
-        # the cells that hold every x within _half of gx, which is past the
-        # reach of the disc test by far more than its float error
-        left = max(int(self._cell(gx - self._half)), 0)
-        right = min(int(self._cell(gx + self._half)) + 1, self._cells)
-        near = []
-        for s in range(first, last + 1):
-            rows, xy, internal = self.layer(s)
-            order, starts = self._index[s]
-            pos = order[starts[left]:starts[right]]
-            dx = internal[pos, 0] - gx
-            dy = internal[pos, 1] - gy
-            keep = np.sort(pos[dx * dx + dy * dy <= self._reach_sq])
-            near.append((rows[keep], xy[keep], internal[keep]))
-        if not near:
+        if first > last:
             return none
-        rows, xy, internal = (np.concatenate(a) for a in zip(*near))
-        inside = self.window.shifted(gamma).contains(internal)
+        c = np.tile(self._ellipsoid(c0), (2, 1))
+        total = c.sum(axis=1)
+        # the least band sum of each c's class mod 5, and the next one
+        s = first + (total - first) % 5 + np.repeat([0, 5], len(c) // 2)
+        x4 = (s - total) // 5
+        rows = np.column_stack([c + x4[:, None], x4])
+        keep = (s <= last) & (np.abs(rows) <= self.box).all(axis=1)
+        rows, s = rows[keep], s[keep]
+        rows = rows[np.lexsort((*rows.T[3::-1], s))]
+        xy = _project(rows, self.basis.par)
+        near = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= self.radius * self.radius
+        rows, xy = rows[near], xy[near]
+        inside = self.window.shifted(gamma).contains(_project(rows, self._proj3))
         return rows[inside], xy[inside]
 
 
@@ -312,11 +301,27 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
     return out
 
 
+def _nearest(rows: np.ndarray) -> int:
+    """The index of the row nearest the origin by exact |c|^2 = a + b*tau,
+    the lexicographically first among ties: a knockout over the rows in
+    lexicographic order, where the right row of a pair goes on only when
+    it is strictly nearer."""
+    idx = np.lexsort(rows.T[::-1])
+    a, b = sq_norm_ab((rows[idx, :4] - rows[idx, 4:]).T)
+    while len(idx) > 1:
+        n = len(idx) // 2 * 2
+        ahead = _golden_signs(a[1:n:2] - a[:n:2], b[1:n:2] - b[:n:2]) < 0
+        keep = np.append(np.arange(0, n, 2) + ahead, np.arange(n, len(idx)))
+        idx, a, b = idx[keep], a[keep], b[keep]
+    return int(idx[0])
+
+
 def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
                 enumeration: LatticeEnumeration | None = None) -> list[ScanEntry]:
     """Generate the quasilattice for each offset and report its measured
     rotational symmetry order, decided exactly on the accepted quasilattice
-    points, about the accepted point nearest the origin.
+    points, about the accepted point nearest the origin by exact |c|^2 (the
+    lexicographically first row among equidistant points).
 
     Warns, once, when accepted points of any offset touch the enumeration box.
     """
@@ -326,19 +331,13 @@ def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
     out = []
     reach = 0
     for gamma in path:
-        rows, xy = enum.accept(gamma)
-        count = len(rows)
-        if count == 0:
-            out.append(ScanEntry(tuple(float(g) for g in gamma), 1, 0))
-            continue
-        reach = max(reach, int(np.abs(rows).max()))
-        norms = (xy ** 2).sum(axis=1)
-        near = np.flatnonzero(norms == norms.min())
-        if len(near) > 1:
-            near = near[np.lexsort(rows[near].T[::-1])[:1]]
-        # the lattice_to_cyclo reduction, centred on the nearest point
-        cyclo = rows[:, :4] - rows[:, 4:]
-        order = _symmetry_order(cyclo - cyclo[near[0]])
-        out.append(ScanEntry(tuple(float(g) for g in gamma), order, count))
+        rows, _ = enum.accept(gamma)
+        order = 1
+        if len(rows):
+            reach = max(reach, int(np.abs(rows).max()))
+            # the lattice_to_cyclo reduction, centred on the nearest point
+            cyclo = rows[:, :4] - rows[:, 4:]
+            order = _symmetry_order(cyclo - cyclo[_nearest(rows)])
+        out.append(ScanEntry(tuple(float(g) for g in gamma), order, len(rows)))
     _warn_at_box(reach, enum.box)
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fivefold
-from fivefold import document, triangles
+from fivefold import cli, document, triangles
 from fivefold.cli import main
 from fivefold.document import (
     TilingDocument,
@@ -388,6 +388,24 @@ class TestStats:
     def test_stats_without_input_fails(self, capsys):
         code, _, err = run(capsys, "stats")
         assert code == 1
+
+    def test_stats_counts_kinds_without_the_groups_view(self, tmp_path, capsys,
+                                                        monkeypatch):
+        tiling, grouped = tmp_path / "s3.qtile", tmp_path / "s3-groups.qtile"
+        run(capsys, "deflate", "--seed", "sun", "--steps", "3", "--out", str(tiling))
+        run(capsys, "group", str(tiling), "--policy", "rhombs", "--out", str(grouped))
+        read, docs = cli.read_tiling, []
+        monkeypatch.setattr(cli, "read_tiling", lambda data: docs.append(read(data)) or docs[-1])
+        code, out, _ = run(capsys, "stats", str(grouped))
+        assert code == 0
+        doc, = docs
+        assert "groups" not in doc.__dict__  # the tuple view was never built
+        counts: dict[str, int] = {}
+        for kind, _indices in doc.groups:
+            counts[kind] = counts.get(kind, 0) + 1
+        lines = out.splitlines()
+        assert lines[0] == "kind counts:"
+        assert lines[1:1 + len(counts)] == [f"  {k:<16} {counts[k]}" for k in sorted(counts)]
 
     def test_stats_needs_groups(self, tmp_path, capsys):
         tiling = tmp_path / "plain.qtile"

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.distance import pdist
 
-from fivefold.exact import CycloPoint
+from fivefold.exact import CycloPoint, golden_sign, sq_norm_ab
 from fivefold.projection import (
     LatticeEnumeration,
     Window,
+    _nearest,
+    _project,
     build_window,
     cube_vertex_projections,
     generate_quasilattice,
@@ -41,12 +43,25 @@ def basis():
 
 
 @functools.cache
-def every_layer(enum):
-    """(rows, par_xy, internal) of every coordinate-sum layer the box holds,
-    in (sum, lexicographic) order."""
-    box = enum.box
-    layers = [enum.layer(s) for s in range(-5 * box, 5 * box + 1)]
-    return tuple(np.concatenate(a) for a in zip(*layers))
+def box_points(box, radius):
+    """(rows, par_xy, internal) of every point of Z^5 in [-box, box]^5
+    within the physical radius, in (sum, lexicographic) order, projected
+    with _project and kept by the radius test of the program: the brute
+    force that LatticeEnumeration is checked against."""
+    basis = projection_basis()
+    axis = np.arange(-box, box + 1)
+    tail = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    rows, xy = [], []
+    for x0 in axis:  # one slab of the cube at a time
+        slab = np.column_stack([np.full(len(tail), x0), tail])
+        p = _project(slab, basis.par)
+        near = p[:, 0] ** 2 + p[:, 1] ** 2 <= radius * radius
+        rows.append(slab[near])
+        xy.append(p[near])
+    rows, xy = np.concatenate(rows), np.concatenate(xy)
+    order = np.argsort(rows.sum(axis=1), kind="stable")
+    rows, xy = rows[order], xy[order]
+    return rows, xy, _project(rows, np.vstack([basis.perp, basis.delta]))
 
 
 class TestBasis:
@@ -98,7 +113,7 @@ class TestWindow:
         inflated = Window(window.normals,
                           lam * window.offsets - (1 - lam) * (window.normals @ centroid),
                           window.gamma)
-        internal = every_layer(enum6)[2]
+        internal = box_points(8, 6.0)[2]
         base = window.shifted(GENERIC_GAMMA).contains(internal)
         bigger = inflated.shifted(GENERIC_GAMMA).contains(internal)
         assert (bigger | ~base).all()  # base implies bigger
@@ -127,7 +142,7 @@ class TestClosedFormWindow:
         hull = hull_window()
         window = build_window()
         accepted = 0
-        chunks = np.array_split(every_layer(enum6)[2], 64)  # cache-sized residual blocks
+        chunks = np.array_split(box_points(8, 6.0)[2], 64)  # cache-sized residual blocks
         for gamma in criterion_11_path() + [GENERIC_GAMMA, symmetric_gamma()]:
             mask = np.concatenate([window.shifted(gamma).contains(c) for c in chunks])
             want = np.concatenate([hull.shifted(gamma).contains(c) for c in chunks])
@@ -225,14 +240,19 @@ def criterion_11_path():
     return path
 
 
-def reference_accept(enum, gamma):
-    """The window test on every row of every layer, without prefilters:
-    (rows, par_xy) of the accepted points, in (sum, lexicographic) order."""
-    rows, xy, internal = every_layer(enum)
-    window = enum.window.shifted(gamma)
+def window_test(points, gamma):
+    """(rows, par_xy) of the brute-force points strictly inside the
+    gamma-shifted window, in (sum, lexicographic) order."""
+    rows, xy, internal = points
+    window = build_window().shifted(gamma)
     chunks = np.array_split(internal, 64)  # cache-sized residual blocks
     mask = np.concatenate([window.contains(c) for c in chunks])
     return rows[mask], xy[mask]
+
+
+def reference_accept(enum, gamma):
+    """The window test on every point of the box within the radius."""
+    return window_test(box_points(enum.box, enum.radius), gamma)
 
 
 def assert_same_points(got, want):
@@ -283,10 +303,8 @@ class TestPrefilter:
                    | (corners[:, 2] == corners[:, 2].max())
                    | np.isclose(norms, norms.max()))
         assert extreme.sum() == 12
-        rows, _, internal = enum4.layer(0)
-        row = int(np.flatnonzero((rows == 0).all(axis=1))[0])
-        for corner in corners[extreme]:
-            gamma = tuple(internal[row] - center - (corner - center) * (1 - 1e-7))
+        for corner in corners[extreme]:  # the origin's images are all 0
+            gamma = tuple(-center - (corner - center) * (1 - 1e-7))
             got = enum4.accept(gamma)
             assert_same_points(got, reference_accept(enum4, gamma))
             assert (got[0] == 0).all(axis=1).any()
@@ -307,21 +325,77 @@ class TestPrefilter:
         assert_same_points(got, reference_accept(enum4, gamma))
 
     @pytest.mark.parametrize("gamma", [(1e308, 0.0, -1.0), (0.0, -1e308, -1.0),
-                                       (1e200, 1e200, -1.0)])
+                                       (1e200, 1e200, -1.0), (30.0, -40.0, -1.0),
+                                       (-1e9, 1e9, -1.0), (1.7e308, 1.7e308, -1.0)])
     def test_far_in_plane_offsets_accept_nothing_without_warning(self, enum4, gamma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, xy = enum4.accept(gamma)
         assert len(rows) == len(xy) == 0
 
-    def test_band_is_clamped_to_the_box_layers(self, monkeypatch):
-        # at box 2 the outermost layers +-10 hold one point each; offsets
-        # whose band reaches past them, or lies far beyond every layer,
-        # visit no more than the 21 layers the box holds
-        enum = LatticeEnumeration(box=2, radius=2.0)
-        assert enum.layer(10)[0].tolist() == [[2] * 5]
-        assert enum.layer(-10)[0].tolist() == [[-2] * 5]
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    def test_star_images_at_the_circumradius(self, enum4, factor):
+        # offsets that put a row's star-map image at the window's
+        # circumradius times factor from the offset, on the ray of each
+        # outer corner: the edge of the enumeration's internal-plane disc
+        corners = cube_vertex_projections()
+        center = corners.mean(axis=0)
+        norms = np.hypot(corners[:, 0], corners[:, 1])
+        outer = corners[np.isclose(norms, norms.max())]
+        assert len(outer) == 10
+        internal = box_points(enum4.box, enum4.radius)[2]
+        accepted = 0
+        for image in internal[::len(internal) // 5]:
+            for corner in outer:
+                gamma = tuple(image - center - (corner - center) * factor)
+                got = enum4.accept(gamma)
+                assert_same_points(got, reference_accept(enum4, gamma))
+                accepted += len(got[0])
+        assert accepted > 0
+
+    def test_row_within_an_ulp_of_the_radius(self):
+        # the least radius whose float square reaches a row's float |xy|^2
+        # keeps the row; the float just below it drops the row
+        basis = projection_basis()
+        row = np.array([[2, 1, 0, -1, 0]])
+        xy = _project(row, basis.par)
+        norm = float(xy[0, 0] ** 2 + xy[0, 1] ** 2)
+        radius = math.sqrt(norm)
+        while radius * radius < norm:
+            radius = math.nextafter(radius, math.inf)
+        while math.nextafter(radius, 0.0) ** 2 >= norm:
+            radius = math.nextafter(radius, 0.0)
+        # the window centred on the row's internal image, and shifted to put
+        # that image just inside each outer corner, where the row is at the
+        # edge of both discs of the enumeration's ellipsoid
+        corners = cube_vertex_projections()
+        center = corners.mean(axis=0)
+        norms = np.hypot(corners[:, 0], corners[:, 1])
+        image = _project(row, np.vstack([basis.perp, basis.delta]))[0]
+        offsets = [image - center] + [image - center - (corner - center) * (1 - 1e-7)
+                                      for corner in corners[np.isclose(norms, norms.max())]]
+        for r, kept in ((radius, True), (math.nextafter(radius, 0.0), False)):
+            enum = LatticeEnumeration(box=3, radius=r)
+            for gamma in offsets:
+                got = enum.accept(tuple(gamma))
+                assert_same_points(got, reference_accept(enum, tuple(gamma)))
+                assert (row.tolist()[0] in got[0].tolist()) == kept
+
+    def test_radius_far_beyond_the_box(self):
+        # at box 1 and 2 a radius of 8 holds every point of the box; the
+        # outermost layers +-10 of box 2 hold one point each
         half = math.sqrt(5) / 2  # the window's diagonal centre
+        for box in (1, 2):
+            enum = LatticeEnumeration(box=box, radius=8.0)
+            assert len(box_points(box, 8.0)[0]) == (2 * box + 1) ** 5
+            accepted = 0
+            for s in range(-5 * box - 6, 5 * box + 2):
+                for xy in ((0.0, 0.0), GENERIC_GAMMA[:2], (0.3, -0.2)):
+                    gamma = (*xy, s / math.sqrt(5) - half)
+                    got = enum.accept(gamma)
+                    assert_same_points(got, reference_accept(enum, gamma))
+                    accepted += len(got[0])
+            assert accepted > 0
         # each offset with the outermost point its window holds, if any
         cases = [
             ((0.0, 0.0, 1e15), None),
@@ -331,75 +405,45 @@ class TestPrefilter:
             ((0.0, 0.0, 11.5 / math.sqrt(5)), None),     # band of layer 10 alone
             ((0.0, 0.0, -16.5 / math.sqrt(5)), None),    # band of layer -10 alone
         ]
-        layer = enum.layer
-        visited = []
-
-        def counting(s):
-            visited.append(s)
-            return layer(s)
-
+        enum = LatticeEnumeration(box=2, radius=8.0)
         for gamma, corner in cases:
-            want = reference_accept(enum, gamma)
-            visited.clear()
-            monkeypatch.setattr(enum, "layer", counting)
             got = enum.accept(gamma)
-            monkeypatch.undo()
-            assert_same_points(got, want)
+            assert_same_points(got, reference_accept(enum, gamma))
             if corner is None:
                 assert len(got[0]) == 0
             else:
                 assert corner in got[0].tolist()
-            assert len(visited) <= 10 * enum.box + 1
-            assert all(abs(s) <= 10 for s in visited)
-        assert visited == [-10]
 
-    def test_disc_and_slice_edges_within_an_ulp_of_a_row(self, enum4, monkeypatch):
-        # offsets on a row's star-map y whose disc edge, or the edge of the
-        # x slice the index reads, lies within 1 ulp of that row's star-map
-        # x: the window test sees exactly the rows that the disc test keeps
-        # on the whole of each layer visited, in (sum, lexicographic) order
-        reach = math.sqrt(enum4._reach_sq)
-        mid = (enum4._depth[0] + enum4._depth[1]) / 2  # the window's diagonal centre
-        seen, visited = [], []
-        residuals, layer = Window.residuals, enum4.layer
+    @pytest.mark.parametrize("radius", [1e-300, 1e-20, 1e20, 1e300])
+    def test_extreme_radii(self, radius):
+        # a radius far inside the window's reach, or far outside every
+        # point of the box, accepts what the brute force does, and warns of
+        # nothing but the box
+        enum = LatticeEnumeration(box=2, radius=radius)
+        accepted = 0
+        for gamma in [symmetric_gamma(), GENERIC_GAMMA, (0.3, 0.1, -0.5), (-0.9, 0.4, -2.0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = enum.accept(gamma)
+            assert_same_points(got, reference_accept(enum, gamma))
+            accepted += len(got[0])
+        assert accepted > 0
 
-        def window_rows(self, points):
-            seen.append(points)
-            return residuals(self, points)
-
-        def counting(s):
-            visited.append(s)
-            return layer(s)
-
-        cases = []  # (layer, gamma)
-        for s in (0, 3, -7):
-            rows, _, internal = layer(s)
-            for x, y, z in internal[::len(rows) // 5]:
-                for gx in (x - reach, x + reach, x - enum4._half, x + enum4._half):
-                    for gx in (np.nextafter(gx, -math.inf), gx, np.nextafter(gx, math.inf)):
-                        cases.append((s, (float(gx), float(y), float(z - mid))))
-        for s, gamma in cases:
-            want = reference_accept(enum4, gamma)
-            seen.clear()
-            visited.clear()
-            monkeypatch.setattr(Window, "residuals", window_rows)
-            monkeypatch.setattr(enum4, "layer", counting)
-            got = enum4.accept(gamma)
-            monkeypatch.undo()
-            assert_same_points(got, want)
-            assert s in visited
-            near = np.concatenate([layer(v)[2] for v in visited])
-            dx = near[:, 0] - gamma[0]
-            dy = near[:, 1] - gamma[1]
-            near = near[dx * dx + dy * dy <= enum4._reach_sq]
-            assert len(seen) == 1 and np.array_equal(seen[0], near)
-
-    def test_star_x_index_costs_four_bytes_a_row(self, enum6):
-        for s in range(-4, 8):
-            rows = enum6.layer(s)[0]
-            order, starts = enum6._index[s]
-            assert order.nbytes == 4 * len(rows)
-            assert len(starts) == enum6._cells + 1 <= 2 ** 14 + 2
+    def test_box_far_beyond_the_radius(self):
+        # a radius of 1.5 keeps every point it accepts well inside box 6, so
+        # boxes of 60 and 6000 accept exactly what box 6 does
+        small = LatticeEnumeration(box=6, radius=1.5)
+        for box in (60, 6000):
+            big = LatticeEnumeration(box=box, radius=1.5)
+            accepted = 0
+            for gamma in criterion_11_path()[::7] + [(0.4, -0.1, 0.3), (0.0, 0.0, -2.5)]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = reference_accept(small, gamma)
+                    assert len(want[0]) == 0 or np.abs(want[0]).max() < 6
+                    assert_same_points(big.accept(gamma), want)
+                accepted += len(want[0])
+            assert accepted > 0
 
     def test_window_test_sees_a_small_fraction(self, enum6, monkeypatch):
         seen = []
@@ -409,33 +453,37 @@ class TestPrefilter:
             seen.append(len(points))
             return residuals(self, points)
 
-        total = len(every_layer(enum6)[0])
+        total = len(box_points(8, 6.0)[0])
         assert total == 706047
         monkeypatch.setattr(Window, "residuals", counting)
         rows, _ = enum6.accept(symmetric_gamma())
         assert 0 < len(rows) <= sum(seen) < total // 100
 
     def test_layered_build_matches_brute_force(self, basis):
-        enum = LatticeEnumeration(box=3, radius=2.0)
+        # the brute force, built one x0 slab of the box at a time, is the
+        # cube within the radius, projected bit for bit as one product; a
+        # random block of its rows, projected alone, gets the same bits as
+        # in the whole, as the enumeration relies on
         cube = np.array(list(itertools.product(range(-3, 4), repeat=5)))
         xy = cube @ basis.par.T
         inside = cube[(xy ** 2).sum(axis=1) <= 4.0]
         assert len(inside) > 100
-        rows, xy, _ = every_layer(enum)
+        rows, xy, internal = box_points(3, 2.0)
         order = np.lexsort(rows.T[::-1])
         assert rows[order].tolist() == inside.tolist()
-        # bit for bit the projection of the whole set in one product
         assert xy[order].tobytes() == (inside @ basis.par.T).tobytes()
-        for s in range(-15, 16):  # each layer in lexicographic order
-            layer = enum.layer(s)[0]
-            assert (layer.sum(axis=1) == s).all()
-            assert layer.tolist() == sorted(layer.tolist())
+        proj3 = np.vstack([basis.perp, basis.delta])
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 5, 17, 64, 257, 1000):
+            pick = np.sort(rng.choice(len(rows), size, replace=False))
+            assert _project(rows[pick], basis.par).tobytes() == xy[pick].tobytes()
+            assert _project(rows[pick], proj3).tobytes() == internal[pick].tobytes()
 
     def test_internal_plane_is_star_map(self, enum6):
         # eps -> eps^2 sends z0 + z1 eps + z2 eps^2 + z3 eps^3 to
         # (z0 - z2) + (z3 - z2) eps + (z1 - z2) eps^2 - z2 eps^3
         scale = math.sqrt(2 / 5)
-        points, _, internal = every_layer(enum6)
+        points, _, internal = box_points(8, 6.0)
         order = np.lexsort(points.T[::-1])  # sample the rows in lexicographic order
         points, internal = points[order], internal[order]
         for row in range(0, len(points), 7919):
@@ -453,13 +501,41 @@ class TestPrefilter:
        edge=st.sampled_from((0.0, -5.0)))
 def test_accept_matches_the_full_window_test(enum4, t, near, theta, k, nudge, edge):
     # the in-plane offset lies within the window's reach of the origin
-    # (near) or anywhere within reach of a star-map image; sqrt(5) * gamma_z
-    # lies within 1e-12 of an integer, which puts a sum layer on the
-    # window's bottom (edge 0) or top (edge -5) apex
-    rho = t * (1.5 if near else enum4._far)
+    # (near) or anywhere within reach of a star-map image: one of box 6,
+    # sum_k x_k perp[:, k], lies within 6 * 5 * sqrt(2/5) of the origin, and
+    # the window within 1.1 of its offset; sqrt(5) * gamma_z lies within
+    # 1e-12 of an integer, which puts a sum layer on the window's bottom
+    # (edge 0) or top (edge -5) apex
+    rho = t * (1.5 if near else 6 * 5 * math.sqrt(2 / 5) + 1.1)
     gamma = (rho * math.cos(theta), rho * math.sin(theta),
              (k + edge + nudge) / math.sqrt(5))
     assert_same_points(enum4.accept(gamma), reference_accept(enum4, gamma))
+
+
+@functools.cache
+def every_box_point(box):
+    """box_points without a radius, and the float |xy|^2 of each row."""
+    rows, xy, internal = box_points(box, math.inf)
+    return rows, xy, internal, xy[:, 0] ** 2 + xy[:, 1] ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=st.integers(1, 6), radius=st.floats(0.5, 8.0), t=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, 2 * math.pi), z=st.floats(-1.0, 1.0),
+       nudge=st.sampled_from((None, -1e-12, 0.0, 1e-12)))
+def test_accept_matches_brute_force_on_any_box_and_radius(box, radius, t, theta, z, nudge):
+    # offsets anywhere within reach of a star-map image of the box, most
+    # near the origin, where the points are, and at any depth that meets
+    # its sums; some with sqrt(5) * gamma_z within 1e-12 of an integer
+    rho = t ** 3 * (box * 5 * math.sqrt(2 / 5) + 1.1)
+    depth = z * (math.sqrt(5) * box + 2) - math.sqrt(5) / 2
+    if nudge is not None:
+        depth = (round(depth * math.sqrt(5)) + nudge) / math.sqrt(5)
+    gamma = (rho * math.cos(theta), rho * math.sin(theta), depth)
+    rows, xy, internal, norm = every_box_point(box)
+    near = norm <= radius * radius
+    want = window_test((rows[near], xy[near], internal[near]), gamma)
+    assert_same_points(LatticeEnumeration(box, radius).accept(gamma), want)
 
 
 class TestScan:
@@ -490,6 +566,41 @@ class TestScan:
             entries = scan_offset(criterion_11_path(), 6.0, 8, enumeration=enum6)
         assert all(e.count > 100 for e in entries)
 
+    def test_nearest_point_is_exact_and_lexicographically_first(self, enum6):
+        # on a decagonal mirror line the points nearest the origin tie
+        # exactly, and the float norms pick one that is not the
+        # lexicographically first of them
+        theta = 2 * math.pi / 5
+        gamma = (0.75 * math.cos(theta), 0.75 * math.sin(theta), -0.65)
+        rows, xy = enum6.accept(gamma)
+        best = reference_nearest(rows)
+        norm = sq_norm_ab(lattice_to_cyclo(rows[best]).coords())
+        ties = [r for r in rows.tolist() if sq_norm_ab(lattice_to_cyclo(r).coords()) == norm]
+        assert len(ties) > 1
+        assert _nearest(rows) == best
+        assert rows[int(np.argmin((xy ** 2).sum(axis=1)))].tolist() != rows[best].tolist()
+        assert scan_offset([gamma], 6.0, 8, enumeration=enum6)[0].count == len(rows)
+
     def test_empty_path_rejected(self, enum6):
         with pytest.raises(ValueError):
             scan_offset([], 6.0, 8, enumeration=enum6)
+
+
+def reference_nearest(rows):
+    """The index of the row nearest the origin by exact comparison of
+    |c|^2 = a + b*tau, the lexicographically first among ties, one row at
+    a time."""
+    norms = [sq_norm_ab(lattice_to_cyclo(r).coords()) for r in rows.tolist()]
+    best = 0
+    for i, (a, b) in enumerate(norms):
+        sign = golden_sign(a - norms[best][0], b - norms[best][1])
+        if sign < 0 or (sign == 0 and rows[i].tolist() < rows[best].tolist()):
+            best = i
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 5), min_size=1, max_size=40))
+def test_nearest_matches_the_exact_loop(points):
+    rows = np.array(points, dtype=np.int64)
+    assert _nearest(rows) == reference_nearest(rows)
