@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 
 from . import FORMAT_VERSION, __version__
 from .document import (
@@ -236,14 +237,13 @@ def _cmd_scan(args) -> int:
         return 1
     import numpy as np
 
-    from .projection import LatticeEnumeration, scan_offset
+    from .projection import scan_offset
 
     start = np.array(args.start)
     stop = np.array(args.stop)
     path = [tuple(start + (stop - start) * k / (args.steps - 1))
             for k in range(args.steps)]
-    enum = LatticeEnumeration(args.box, args.radius)
-    entries = scan_offset(path, args.radius, args.box, enumeration=enum)
+    entries = scan_offset(path, args.radius, args.box)
     with open(args.csv, "w", encoding="ascii") as f:
         f.write("gamma1,gamma2,gamma3,order,count\n")
         for e in entries:
@@ -267,9 +267,7 @@ def _cmd_stats(args) -> int:
             print("file has no groups section; run `fivefold group` first",
                   file=sys.stderr)
             return 1
-        counts: dict[str, int] = {}
-        for kind in doc._group_arrays[0]:
-            counts[kind] = counts.get(kind, 0) + 1
+        counts = Counter(doc._group_arrays[0])
         print("kind counts:")
         for kind in sorted(counts):
             print(f"  {kind:<16} {counts[kind]}")

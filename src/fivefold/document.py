@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import FORMAT_VERSION
-from .grouping import CompositeKind, CompositeTiling
+from .grouping import CompositeKind, CompositeTiling, _grouped, _ints
 from .triangles import Patch, _coord_array, _shape_problem, _shape_rule
 
 if TYPE_CHECKING:  # numpy is imported at first use
@@ -159,7 +159,7 @@ class TilingDocument:
         rows = table.ravel().tolist()
         rows[0::6] = map(_KIND_NAMES.__getitem__, rows[0::6])
         return (_block(_VERTEX, points.ravel().tolist()), _block(_TRIANGLE, rows),
-                "" if self.groups is None else _group_lines(self.groups))
+                "" if self._group_arrays is None else _group_lines(self._group_arrays))
 
     def validate(self) -> None:
         """Raise DocumentError for the first broken invariant.  A document
@@ -265,30 +265,11 @@ class TilingDocument:
         return None
 
 
-def _ints(values: list) -> np.ndarray:
-    """Integers as an int64 array, or as Python ints if one is beyond int64
-    (such an index is out of range anyway)."""
-    import numpy as np
-
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _doc_triangles(kinds: Iterable[str], table: np.ndarray) -> tuple[DocTriangle, ...]:
     """The triangle rows as DocTriangles of the given kind names."""
-    return tuple(DocTriangle(kind, a, b, c, s, None if p == -1 else p)
-                 for kind, (_, a, b, c, s, p) in zip(kinds, table.tolist()))
-
-
-def _grouped(groups: Sequence[tuple[str, Sequence[int]]]) -> tuple:
-    """Group arrays (see TilingDocument) of (kind, triangle indices) pairs."""
-    import numpy as np
-
-    sizes = [len(indices) for _, indices in groups]
-    return (tuple(kind for kind, _ in groups), np.array([0, *accumulate(sizes)]),
-            _ints(list(chain.from_iterable(indices for _, indices in groups))))
+    _, apex, base0, base1, chirality, parent = table.T.tolist()
+    return tuple(map(DocTriangle, kinds, apex, base0, base1, chirality,
+                     [None if p == -1 else p for p in parent]))
 
 
 def _structure_problem(t: DocTriangle, n_vertices: int, n_triangles: int) -> str | None:
@@ -355,8 +336,12 @@ def _block(line: str, values: list) -> str:
     return "\n".join([line] * (len(values) // line.count("%"))) % tuple(values)
 
 
-def _group_lines(groups: Sequence[tuple[str, Sequence[int]]]) -> str:
-    return "\n".join([kind + " " + " ".join(map(str, indices)) for kind, indices in groups])
+def _group_lines(groups: tuple) -> str:
+    """The group lines of group arrays (see TilingDocument)."""
+    kinds, offsets, members = groups
+    at, members = offsets.tolist(), list(map(str, members.tolist()))
+    return "\n".join([kind + " " + " ".join(members[a:b])
+                      for kind, a, b in zip(kinds, at, at[1:])])
 
 
 def _parse_rows(lines: list[str], width: int, ints_from: int) -> list:
@@ -421,7 +406,8 @@ class _Reader:
                 values = _parse_rows(lines, width, ints_from)
                 text = _block(template, values)
             elif len(lines) == n:
-                values = [(row[0], list(map(int, row[1:]))) for row in map(str.split, lines)]
+                values = _grouped([(row[0], list(map(int, row[1:])))
+                                   for row in map(str.split, lines)])
                 text = _group_lines(values)
         except (ValueError, IndexError):
             pass
@@ -474,7 +460,6 @@ def read_tiling(data: bytes) -> TilingDocument:
     line = r.next()
     if line.startswith("groups"):
         groups, group_lines = r.block(r.count(line, "groups"), None, "empty group line")
-        groups = _grouped(groups)
         line = r.next()
     if line.startswith("projection "):
         parts = line.split()
@@ -548,8 +533,9 @@ def document_to_patch(doc: TilingDocument) -> Patch:
 
 
 def tiling_to_document(tiling: CompositeTiling) -> TilingDocument:
-    groups = tuple((g.kind.value, g.indices) for g in tiling.groups)
-    return patch_to_document(tiling.patch, groups=groups)
+    doc = patch_to_document(tiling.patch)  # the tiling's group arrays, passed through
+    return TilingDocument._from_arrays(*doc._arrays, seed=doc.seed, generation=doc.generation,
+                                       _group_arrays=tiling._group_arrays)
 
 
 def quasilattice_to_document(points: Sequence[QuasiPoint], gamma, radius: float,

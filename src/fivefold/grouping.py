@@ -32,9 +32,11 @@ union with base equal to the pentagon side, harvested the same way.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, sq_norm_ab
@@ -86,6 +88,7 @@ class CompositeKind(Enum):
 
 
 SINGLETON_KINDS = (CompositeKind.ACUTE_TRIANGLE, CompositeKind.OBTUSE_TRIANGLE)
+_BY_NAME = {kind.value: kind for kind in CompositeKind}  # a dict is faster than the call
 
 SET_A = (CompositeKind.PENTAGRAM, CompositeKind.BOAT, CompositeKind.PENTAGON_BIG,
          CompositeKind.THICK_RHOMB, CompositeKind.THIN_RHOMB)
@@ -317,7 +320,7 @@ class Isometry:
         return q * ROT36[self.rot % 10] + self.shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     kind: CompositeKind
     indices: tuple[int, ...]
@@ -326,15 +329,75 @@ class Group:
 
 @dataclass(frozen=True)
 class CompositeTiling:
+    """A patch and its groups, stored as a grouped ``TilingDocument``'s
+    ``_group_arrays`` and each group's isometry (None but for a template
+    group), or as ``groups``: either form is built from the other on read."""
+
     patch: Patch
     groups: tuple[Group, ...]
 
+    @classmethod
+    def _from_arrays(cls, patch: Patch, kinds: list[str], sizes: list[int], members,
+                     isometries: list, order: list[int], claimed) -> CompositeTiling:
+        """The groups given, then a singleton per triangle not ``claimed``, in ``order``."""
+        import numpy as np
+
+        order = np.asarray(order, dtype=np.int64)
+        single = order[~np.asarray(claimed, dtype=bool)[order]]
+        kinds = (*kinds, *(SINGLETON_KINDS[k].value for k in patch.kind[single].tolist()))
+        offsets = np.cumsum([0, *sizes, *[1] * len(single)], dtype=np.int64)
+        members = np.concatenate((np.asarray(members, dtype=np.int64), single))
+        tiling = object.__new__(cls)
+        tiling.__dict__.update(patch=patch, _group_arrays=(kinds, offsets, members),
+                               _isometries=(*isometries, *[None] * len(single)))
+        return tiling
+
+    def __getattr__(self, name: str):
+        # called only for fields never set: a tiling made from arrays
+        # builds its groups on first read
+        if name != "groups":
+            raise AttributeError(name)
+        kinds, offsets, members = self._group_arrays
+        at, members = offsets.tolist(), members.tolist()
+        groups = tuple(map(Group, map(_BY_NAME.__getitem__, kinds), (
+            tuple(members[a:b]) for a, b in zip(at, at[1:])), self._isometries))
+        self.__dict__["groups"] = groups
+        return groups
+
+    @cached_property
+    def _group_arrays(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        return _grouped([(g.kind.value, g.indices) for g in self.groups])
+
+    @cached_property
+    def _isometries(self) -> tuple[Isometry | None, ...]:
+        return tuple(g.iso for g in self.groups)
+
     def coverage(self) -> float:
+        """The share of triangles outside singleton groups, one triangle each."""
         if not len(self.patch):
             return 0.0
-        grouped = sum(len(g.indices) for g in self.groups
-                      if g.kind not in SINGLETON_KINDS)
-        return grouped / len(self.patch)
+        singles = sum(count_tiles(self).get(kind, 0) for kind in SINGLETON_KINDS)
+        return (len(self._group_arrays[2]) - singles) / len(self.patch)
+
+
+def _ints(values) -> np.ndarray:
+    """Integers as an int64 array, or as Python ints if one is beyond int64
+    (such an index is out of range anyway)."""
+    import numpy as np
+
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _grouped(groups: Sequence[tuple[str, Sequence[int]]]) -> tuple:
+    """Group arrays (see TilingDocument) of (kind, triangle indices) pairs."""
+    import numpy as np
+
+    sizes = [len(indices) for _, indices in groups]
+    return (tuple(kind for kind, _ in groups), np.array([0, *accumulate(sizes)]),
+            _ints(list(chain.from_iterable(indices for _, indices in groups))))
 
 
 # ------------------------------------------------------------ integer keys
@@ -444,10 +507,6 @@ def _refuse_repeats(patch: Patch) -> None:
         raise ValueError(f"triangles {i} and {j} are one triangle listed twice")
 
 
-def _obtuse(patch: Patch) -> list[bool]:
-    return patch.kind.astype(bool).tolist()
-
-
 # ------------------------------------------------------------- pose table
 
 
@@ -532,7 +591,7 @@ def detect_composites(patch: Patch,
     exponent = _patch_scale_exponent(patch)
     tables = [(kind, _pose_table(kind, exponent)) for kind in policy
               if kind not in SINGLETON_KINDS]
-    obtuse = _obtuse(patch)
+    triangle_kind = patch.kind.tolist()
     chirality = patch.chirality.tolist()
     m = _max_abs(patch.coords)
     # covers the patch (m) and every probe: an anchor apex plus a part
@@ -546,7 +605,7 @@ def detect_composites(patch: Patch,
     # isometry iteration order aligned with the canonical frame, so that
     # rotating the patch rotates which candidate wins a tie
     rot_order = [(r0 - 2 * k_star) % 10 for r0 in range(10)]
-    groups: list[Group] = []
+    kinds, sizes, members, isometries = [], [], [], []  # of the groups claimed
 
     for kind, table in tables:
         by_chirality: dict[int, list] = {1: [], -1: []}
@@ -555,9 +614,9 @@ def detect_composites(patch: Patch,
                 pose = table.poses[2 * rot + mirror]
                 by_chirality[pose.chirality].append(
                     (pose, pack.keys(pack.table(pose.parts, table.kind, 0))))
-        anchor_obtuse = bool(table.kind[0])
+        anchor_kind = int(table.kind[0])
         for i in order:
-            if claimed[i] or obtuse[i] != anchor_obtuse:
+            if claimed[i] or triangle_kind[i] != anchor_kind:
                 continue
             base = apex_keys[i]
             for pose, keys in by_chirality.get(chirality[i], ()):
@@ -572,23 +631,20 @@ def detect_composites(patch: Patch,
                         for j in hit:
                             claimed[j] = True
                         shift = CycloPoint(*patch.coords[i, 0].tolist()) - pose.anchor
-                        groups.append(Group(kind, tuple(sorted(hit)),
-                                            Isometry(pose.rot, pose.mirror, shift)))
+                        kinds.append(kind.value)
+                        sizes.append(len(hit))
+                        members += sorted(hit)
+                        isometries.append(Isometry(pose.rot, pose.mirror, shift))
                         break
 
-    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, obtuse))
-
-
-def _singletons(order: list[int], claimed: list[bool],
-                obtuse: list[bool]) -> tuple[Group, ...]:
-    """Each unclaimed triangle as a group of its own, in order."""
-    return tuple(Group(CompositeKind.OBTUSE_TRIANGLE if obtuse[i]
-                       else CompositeKind.ACUTE_TRIANGLE, (i,))
-                 for i in order if not claimed[i])
+    return CompositeTiling._from_arrays(patch, kinds, sizes, members, isometries, order,
+                                        claimed)
 
 
 # the composite of each code of _pair_kinds
 _PAIR_KINDS = (CompositeKind.THIN_RHOMB, CompositeKind.THICK_RHOMB, CompositeKind.DELTOID)
+# verify_grouping's kind codes: a singleton's triangle kind, 2 + a pair's code, or 5
+_CODES = {kind.value: code for code, kind in enumerate(SINGLETON_KINDS + _PAIR_KINDS)}
 
 
 def _pair_kinds(corners: np.ndarray, kind: np.ndarray, i: np.ndarray,
@@ -638,8 +694,6 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     pairs = pairs[np.lexsort((rank[pairs[:, 0]], kind[pairs[:, 0]]))]
     claimed = np.zeros(len(patch), dtype=bool)
     claimed[pairs] = True
-    groups = [Group(_PAIR_KINDS[k], tuple(sorted(pair)))
-              for k, pair in zip(kind[pairs[:, 0]].tolist(), pairs.tolist())]
 
     free = np.flatnonzero(~claimed & (kind == 0))
     claimed = claimed.tolist()
@@ -647,27 +701,29 @@ def glue_rhombs(patch: Patch) -> CompositeTiling:
     owner = np.repeat(free, 2)
     s = np.lexsort((rank[owner], legs[:, 1], legs[:, 0]))
     legs, owner = legs[s], owner[s]
-    pairs = [np.empty((0, 2), dtype=np.int64)]
+    twins = [np.empty((0, 2), dtype=np.int64)]
     for d in range(1, len(s)):  # every pair of owners of one leg
         same = (legs[d:] == legs[:-d]).all(axis=1)
         if not same.any():
             break
-        pairs.append(np.column_stack((owner[:-d], owner[d:]))[same])
-    pairs = np.concatenate(pairs)
-    pairs = pairs[_pair_kinds(corners, kind, *pairs.T) == 2]
-    for a, b in pairs[np.lexsort((rank[pairs[:, 1]], rank[pairs[:, 0]]))].tolist():
+        twins.append(np.column_stack((owner[:-d], owner[d:]))[same])
+    twins = np.concatenate(twins)
+    twins = twins[_pair_kinds(corners, kind, *twins.T) == 2]
+    twins = twins[np.lexsort((rank[twins[:, 1]], rank[twins[:, 0]]))]
+    taken = []
+    for k, (a, b) in enumerate(twins.tolist()):
         if not (claimed[a] or claimed[b]):
             claimed[a] = claimed[b] = True
-            groups.append(Group(CompositeKind.DELTOID, tuple(sorted((a, b)))))
-
-    return CompositeTiling(patch, tuple(groups) + _singletons(order, claimed, _obtuse(patch)))
+            taken.append(k)
+    kinds = [_PAIR_KINDS[c].value for c in [*kind[pairs[:, 0]].tolist(), *[2] * len(taken)]]
+    pairs = np.sort(np.concatenate((pairs, twins[taken])), axis=1)
+    return CompositeTiling._from_arrays(patch, kinds, [2] * len(pairs), pairs.ravel(),
+                                        [None] * len(pairs), order, claimed)
 
 
 def count_tiles(tiling: CompositeTiling) -> dict[CompositeKind, int]:
-    out: dict[CompositeKind, int] = {}
-    for g in tiling.groups:
-        out[g.kind] = out.get(g.kind, 0) + 1
-    return out
+    """The number of groups of each kind, counted on the kind names."""
+    return {_BY_NAME[k]: n for k, n in Counter(tiling._group_arrays[0]).items()}
 
 
 @dataclass(frozen=True)
@@ -679,63 +735,70 @@ class GroupingReport:
 def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
     """Re-check the partition property and every group's geometry.
 
-    Template groups are re-verified by translating the template's cached
-    pose under the recorded isometry by the recorded shift and demanding
-    exact equality of triangle sets; pair groups from glue_rhombs are
-    re-verified by the rule that pairs them, ``_pair_kinds``; singletons
-    must be lone triangles of their kind.  A group with an index outside
-    the patch fails its own check.
+    On the group arrays: singletons must be lone triangles of their kind,
+    and pair groups from glue_rhombs pairs the rule that pairs them,
+    ``_pair_kinds``, gives their kind.  Then template groups, walked with
+    the failing ones in group order, are re-verified by translating the
+    template's cached pose by the recorded isometry and shift and demanding
+    exact equality of triangle sets.  A group with an index outside the
+    patch fails its own check.
     """
     import numpy as np
 
-    problems: list[str] = []
-    seen: set[int] = set()
     patch = tiling.patch
     n = len(patch)
-    for g in tiling.groups:
-        for i in g.indices:
-            if i in seen:
-                problems.append(f"triangle {i} appears in two groups")
-            seen.add(i)
-    if seen != set(range(n)):
+    kinds, offsets, members = tiling._group_arrays
+    # a member equal to the one before it in a stable sort repeats it
+    s = np.argsort(members, kind="stable")
+    again = np.zeros(len(members), dtype=bool)
+    again[s[1:]] = members[s[1:]] == members[s[:-1]]
+    problems = [f"triangle {i} appears in two groups" for i in members[again].tolist()]
+    inside = (members >= 0) & (members < n)
+    if not inside.all() or len(members) - again.sum() != n:
         problems.append("groups do not cover the triangle set")
-    inside = seen.difference(range(n)).isdisjoint
 
-    obtuse = _obtuse(patch)
-    pairs = [g.indices for g in tiling.groups if g.iso is None
-             and g.kind not in SINGLETON_KINDS and len(g.indices) == 2 and inside(g.indices)]
-    if pairs:
-        codes = _pair_kinds(patch._numbering[1], patch.kind, *np.array(pairs).T)
-        paired = iter([_PAIR_KINDS[c] if c >= 0 else None for c in codes.tolist()])
-    posed = [g for g in tiling.groups
-             if g.iso is not None and g.kind not in SINGLETON_KINDS]
-    if posed:
+    # each group's code (see _CODES) and the code its triangles make
+    named = np.array([_CODES.get(kind, 5) for kind in kinds], dtype=np.int64)
+    single = named < 2
+    isometries = tiling._isometries
+    posed = np.array([iso is not None for iso in isometries], dtype=bool) & ~single
+    size, first = np.diff(offsets), offsets[:-1]
+    outside = np.concatenate(([0], np.cumsum(~inside)))
+    whole = outside[offsets[1:]] == outside[first]  # no member outside the patch
+    made = np.full(len(kinds), -1)
+    one = single & (size == 1) & whole
+    made[one] = patch.kind[members[first[one]].astype(np.int64)]
+    two = ~(single | posed) & (size == 2) & whole
+    if two.any():  # 1, for no pair, is no pair kind's code
+        i, j = (members[first[two] + k].astype(np.int64) for k in (0, 1))
+        made[two] = 2 + _pair_kinds(patch._numbering[1], patch.kind, i, j)
+    walk = np.flatnonzero(made != named).tolist()  # with every template group
+
+    template_groups = [g for g in walk if posed[g]]
+    if template_groups:
         exponent = _patch_scale_exponent(patch)
         # covers the patch and every translated posed part point
         pack = _Packing(max([_max_abs(patch.coords)] + [
-            _pose_table(g.kind, exponent).reach + max(map(abs, g.iso.shift.coords()))
-            for g in posed]))
+            _pose_table(_BY_NAME[kinds[g]], exponent).reach
+            + max(map(abs, isometries[g].shift.coords())) for g in template_groups]))
         keys = pack.keys(pack.table(patch.coords, patch.kind, 0))
-        part_keys: dict[tuple[CompositeKind, int], list[int]] = {}
-    for g in tiling.groups:
-        if g.kind in SINGLETON_KINDS:
-            want = g.kind is CompositeKind.OBTUSE_TRIANGLE
-            if (len(g.indices) != 1 or not inside(g.indices)
-                    or obtuse[g.indices[0]] is not want):
-                problems.append(f"bad singleton group {g}")
+        part_keys: dict[tuple[str, int], list[int]] = {}
+    start, listed = (offsets.tolist(), members.tolist()) if walk else ([], [])
+    for g in walk:
+        indices = listed[start[g]:start[g + 1]]
+        if not posed[g]:  # a failing group, built alone
+            group = Group(_BY_NAME[kinds[g]], tuple(indices), isometries[g])
+            problems.append(f"bad singleton group {group}" if single[g]
+                            else f"pair group failed re-verification: {group}")
             continue
-        if g.iso is None:
-            if len(g.indices) != 2 or not inside(g.indices) or next(paired) is not g.kind:
-                problems.append(f"pair group failed re-verification: {g}")
-            continue
-        table = _pose_table(g.kind, exponent)
-        at = table.index(g.iso)
-        pose = table.poses[at]
-        if (g.kind, at) not in part_keys:
-            part_keys[g.kind, at] = pack.keys(pack.table(pose.parts, table.kind, 0))
-        shift = pack.point((pose.anchor + g.iso.shift).coords()) * pack.shift
-        if not inside(g.indices) or ({keys[i] for i in g.indices}
-                             != {key + shift for key in part_keys[g.kind, at]}):
-            problems.append(f"isometry re-verification failed for {g.kind.value} "
-                            f"at indices {g.indices}")
+        table, iso = _pose_table(_BY_NAME[kinds[g]], exponent), isometries[g]
+        at = kinds[g], table.index(iso)
+        pose = table.poses[at[1]]
+        if at not in part_keys:
+            part_keys[at] = pack.keys(pack.table(pose.parts, table.kind, 0))
+        shift = pack.point((pose.anchor + iso.shift).coords()) * pack.shift
+        if not whole[g] or ({keys[i] for i in indices}
+                            != {key + shift for key in part_keys[at]}):
+            problems.append(f"isometry re-verification failed for {kinds[g]} "
+                            f"at indices {tuple(indices)}")
     return GroupingReport(not problems, tuple(problems))

@@ -238,11 +238,11 @@ class LatticeEnumeration:
 
     def accept(self, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(rows, par_xy) of the box points within the physical radius that
-        lie strictly inside the gamma-shifted window, in (coordinate sum,
-        lexicographic) order.  Each c of the ellipsoid gives the one or two
-        rows (c + x4, x4) whose sum s = sum(c) + 5 x4 lies in the window's
-        diagonal band, widened by one on each side; those in the box go
-        through the float radius test, then the float window test."""
+        lie strictly inside the gamma-shifted window, in no set order: each
+        caller sorts what it needs.  Each c of the ellipsoid gives the one
+        or two rows (c + x4, x4) whose sum s = sum(c) + 5 x4 lies in the
+        window's diagonal band, widened by one on each side; those in the
+        box go through the float radius test, then the float window test."""
         none = (np.empty((0, 5), dtype=np.int64), np.empty((0, 2)))
         gx, gy, gz = (float(g) for g in gamma)
         lo = SQRT5 * (gz + self._depth[0])
@@ -265,9 +265,7 @@ class LatticeEnumeration:
         s = first + (total - first) % 5 + np.repeat([0, 5], len(c) // 2)
         x4 = (s - total) // 5
         rows = np.column_stack([c + x4[:, None], x4])
-        keep = (s <= last) & (np.abs(rows) <= self.box).all(axis=1)
-        rows, s = rows[keep], s[keep]
-        rows = rows[np.lexsort((*rows.T[3::-1], s))]
+        rows = rows[(s <= last) & (np.abs(rows) <= self.box).all(axis=1)]
         xy = _project(rows, self.basis.par)
         near = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= self.radius * self.radius
         rows, xy = rows[near], xy[near]
@@ -284,6 +282,14 @@ def _warn_at_box(reach: int, box: int) -> None:
             "increase box to saturate the radius", stacklevel=3)
 
 
+def _enumeration(enumeration, box: int, radius: float) -> LatticeEnumeration:
+    """The enumeration given, which must be for this box and radius, or a new one."""
+    if enumeration is not None and (enumeration.box, enumeration.radius) != (box, radius):
+        raise ValueError(f"the enumeration is for box {enumeration.box} and radius "
+                         f"{enumeration.radius}, not {box} and {radius}")
+    return enumeration or LatticeEnumeration(box, radius)
+
+
 def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
                           enumeration: LatticeEnumeration | None = None,
                           ) -> list[QuasiPoint]:
@@ -292,7 +298,7 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
 
     Warns when accepted points touch the enumeration box.
     """
-    enum = enumeration or LatticeEnumeration(box, radius)
+    enum = _enumeration(enumeration, box, radius)
     rows, xy = enum.accept(gamma)
     order = np.lexsort(rows.T[::-1])
     out = [QuasiPoint(tuple(lattice), lattice_to_cyclo(lattice), tuple(point))
@@ -327,7 +333,7 @@ def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,
     """
     if len(path) == 0:
         raise ValueError("path must contain at least one gamma")
-    enum = enumeration or LatticeEnumeration(box, radius)
+    enum = _enumeration(enumeration, box, radius)
     out = []
     reach = 0
     for gamma in path:

@@ -159,47 +159,34 @@ def reflect_in_root(r: RootVec) -> Mat2G:
 
 
 def group_closure(generators: Iterable[Mat2G], bound: int = 1000) -> frozenset[Mat2G]:
-    """Closure of a set of invertible matrices under multiplication.
-
-    Raises GroupClosureError beyond `bound` elements: runaway growth means
-    the generators do not generate a small finite group.
-    """
-    elems = set(generators)
-    frontier = set(elems)
-    while frontier:
-        fresh = set()
-        for g in elems | frontier:
-            for h in frontier:
-                for p in (g @ h, h @ g):
-                    if p not in elems and p not in frontier and p not in fresh:
-                        fresh.add(p)
-        elems |= frontier
-        frontier = fresh
-        if len(elems) + len(frontier) > bound:
-            raise GroupClosureError(
-                f"closure exceeded {bound} elements; wrong generators?")
-    return frozenset(elems)
+    """The group generated by invertible matrices of finite order; see
+    ``closure_with_words``."""
+    return frozenset(closure_with_words(*generators, bound=bound).values())
 
 
-def closure_with_words(s_a: Mat2G, s_b: Mat2G) -> dict[str, Mat2G]:
-    """Breadth-first closure labelled by shortest generator words.
-
-    Word letters are applied left to right ("ab" means a first, then b),
-    matching the row-vector matrix product.
-    """
-    seen: dict[Mat2G, str] = {Mat2G.identity(): "1"}
+def closure_with_words(*generators: Mat2G, bound: int = 1000) -> dict[str, Mat2G]:
+    """Breadth-first closure from the identity, each element under its first
+    shortest word in the generators' letters a, b, ... ("1" for the
+    identity), in (length, word) order.  Letters apply left to right ("ab"
+    means a first, then b), as the row-vector product does.  Raises
+    GroupClosureError beyond `bound` elements: runaway growth means the
+    generators do not generate a small finite group."""
+    seen = {Mat2G.identity(): ""}
     queue = [Mat2G.identity()]
     while queue:
         nxt = []
         for m in queue:
-            word = seen[m]
-            for letter, gen in (("a", s_a), ("b", s_b)):
+            for k, gen in enumerate(generators):
                 p = m @ gen
                 if p not in seen:
-                    seen[p] = letter if word == "1" else word + letter
+                    seen[p] = seen[m] + chr(ord("a") + k)
                     nxt.append(p)
+            if len(seen) > bound:
+                raise GroupClosureError(
+                    f"closure exceeded {bound} elements; wrong generators?")
         queue = nxt
-    return {word: m for m, word in sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1]))}
+    return {word or "1": m for m, word in sorted(seen.items(),
+                                                key=lambda kv: (len(kv[1]), kv[1]))}
 
 
 @dataclass(frozen=True, slots=True)

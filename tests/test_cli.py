@@ -14,9 +14,11 @@ from fivefold.cli import main
 from fivefold.document import (
     TilingDocument,
     patch_to_document,
+    read_tiling,
     tiling_to_document,
     write_tiling,
 )
+from fivefold.exact import CycloPoint
 from fivefold.grouping import CompositeKind, CompositeTiling, Group, glue_rhombs
 from fivefold.triangles import (
     Patch,
@@ -89,6 +91,15 @@ class TestPipeline:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 1
         assert "999" in err
+
+    def test_verify_rejects_a_file_that_is_no_disk(self, tmp_path, capsys):
+        # two triangles apart: every shape holds, the patch is no disk
+        apart = canonical_acute().transform(lambda p: p + CycloPoint(10, 0, 0, 0))
+        path = tmp_path / "apart.qtile"
+        path.write_bytes(write_tiling(patch_to_document(Patch((canonical_acute(), apart)))))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err == "INVALID: boundary edges form 2 cycles: not a disk\n"
 
 
 class TestGroupInput:
@@ -414,6 +425,28 @@ class TestStats:
         code, _, err = run(capsys, "stats", str(tiling))
         assert code == 1
         assert "group" in err
+
+
+class TestGroupFromArrays:
+    @pytest.mark.parametrize("policy", ["rhombs", "setb"])
+    def test_group_builds_no_group_object(self, tmp_path, capsys, monkeypatch, policy):
+        plain, grouped = tmp_path / "w4.qtile", tmp_path / "w4-groups.qtile"
+        run(capsys, "deflate", "--seed", "wheel", "--steps", "4", "--out", str(plain))
+        built, tilings, docs = [], [], []
+        init, verify, write = Group.__init__, cli.verify_grouping, cli.write_tiling
+        monkeypatch.setattr(Group, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(cli, "verify_grouping", lambda t: tilings.append(t) or verify(t))
+        monkeypatch.setattr(cli, "write_tiling", lambda d: docs.append(d) or write(d))
+        code, _, _ = run(capsys, "group", str(plain), "--policy", policy, "--out", str(grouped))
+        assert code == 0
+        (tiling,), (doc,) = tilings, docs
+        assert built == []
+        # neither the Group view of the tiling nor the document's tuple view
+        assert "groups" not in tiling.__dict__ and "groups" not in doc.__dict__
+        assert read_tiling(grouped.read_bytes()).groups == tuple(
+            (g.kind.value, g.indices) for g in tiling.groups)
+        assert len(built) == len(tiling.groups)
 
 
 class TestUsage:

@@ -20,6 +20,7 @@ from fivefold.document import (
     write_tiling,
 )
 from fivefold.grouping import (
+    POLICIES,
     RHOMBS,
     SET_B,
     CompositeKind,
@@ -244,6 +245,41 @@ class TestValidation:
             write_tiling(bad)
 
 
+# sha256 of the grouped files of `fivefold group`, recorded while the
+# groupings were still built as Group objects
+GROUPED_FILES = {
+    ("sun", "rhombs"): "80ab9ed4467c464c571d87563e9513842216af15168f7af748b073fa0a36cff9",
+    ("sun", "seta"): "21f7a8ce5836dfb57e2be6b481e577e9f9f52854ff81aa09346fe1895eaf2fab",
+    ("sun", "setb"): "fcf460e7db09bc61c64d2c7b887b26cb65353baaecbaaba88a63e49b4f28b917",
+    ("wheel", "rhombs"): "52c2d897c929ac6d1c25a4b1d1c1237e04d83eae990731b51ba2dcf9fa70129d",
+    ("wheel", "seta"): "cd0a0a2e4be841355324d9a73ebbb71dec327e405ff18b8ddcdefe5e19954ef7",
+    ("wheel", "setb"): "52f7ff7d635852bb1cd1b60b1ebb94f5347e6c3c3cd5f76e65b1c5d538b5e657",
+}
+
+
+class TestGroupedFiles:
+    @pytest.mark.parametrize("seed,policy", sorted(GROUPED_FILES))
+    def test_grouped_file_digest(self, seed, policy):
+        patch = deflate_patch(seed_patch(seed), 5)
+        tiling = (glue_rhombs(patch) if policy == "rhombs"
+                  else detect_composites(patch, POLICIES[policy]))
+        data = write_tiling(tiling_to_document(tiling))
+        assert hashlib.sha256(data).hexdigest() == GROUPED_FILES[seed, policy]
+        assert write_tiling(read_tiling(data)) == data
+
+    @pytest.mark.parametrize("tiling", [
+        lambda: CompositeTiling(Patch(()), ()),
+        lambda: glue_rhombs(Patch(())),
+        lambda: detect_composites(Patch(()), SET_B),
+    ], ids=["groups", "glue_rhombs", "detect_composites"])
+    def test_an_empty_groups_block(self, tiling):
+        data = write_tiling(tiling_to_document(tiling()))
+        assert data.endswith(b"\ntriangles 0\ngroups 0\nend\n")
+        assert hashlib.sha256(data).hexdigest() == (
+            "245406dac96b78e9343b9bbaa7ee14a080f8e58b104791207d7e233b2519cabe")
+        assert read_tiling(data).groups == ()
+
+
 class TestLineNumbers:
     """A fault inside a counted block is named with its message and line."""
 
@@ -275,6 +311,30 @@ class TestLineNumbers:
         assert text.split("\n")[27] == "groups 5"
         assert (self.rejected(text, 31, "ThickRhomb 8 9", "ThickRhomb 8 9x")
                 == "line 31: expected integer, got '9x'")
+
+    def test_triangle_of_unknown_kind(self, sun1):
+        assert (self.rejected(sun1, 26, "O 10 14 6 -1 1", "X 10 14 6 -1 1")
+                == "line 26: triangle 3: unknown kind 'X'")
+
+    @pytest.mark.parametrize("chirality", ["+2", "+0"])
+    def test_triangle_chirality_not_a_unit(self, sun1, chirality):
+        assert (self.rejected(sun1, 26, "O 10 14 6 -1 1", f"O 10 14 6 {chirality} 1")
+                == "line 26: triangle 3: chirality must be +-1")
+
+    @pytest.fixture(scope="class")
+    def sun1_rhombs(self):
+        text = write_tiling(tiling_to_document(glue_rhombs(deflate_patch(seed_sun(), 1))))
+        return text.decode()
+
+    @pytest.mark.parametrize("index", ["-1", "20", "999"])
+    def test_group_index_out_of_range(self, sun1_rhombs, index):
+        assert sun1_rhombs.split("\n")[42] == "groups 10"
+        assert (self.rejected(sun1_rhombs, 44, "ThinRhomb 14 16", f"ThinRhomb {index} 16")
+                == f"line 44: group 0: triangle index {index} out of range")
+
+    def test_group_index_already_grouped(self, sun1_rhombs):
+        assert (self.rejected(sun1_rhombs, 45, "ThinRhomb 10 12", "ThinRhomb 14 12")
+                == "line 45: group 1: triangle 14 already grouped")
 
     def test_triangle_count_beyond_the_block(self, sun1):
         # the 21st triangle line is 'end'

@@ -31,6 +31,7 @@ from fivefold.triangles import (
     TriangleKind,
     canonical_acute,
     deflate_patch,
+    homothety_rotation,
     seed_patch,
     seed_sun,
     seed_wheel,
@@ -151,6 +152,15 @@ class TestDetectComposites:
         tiling = detect_composites(Patch(()), SET_B)
         assert tiling.groups == ()
         assert count_tiles(tiling) == {}
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_a_patch_scaled_up_groups_and_verifies(self, policy):
+        # legs tau^2 times the canonical leg: the pose tables at exponent 2
+        patch = homothety_rotation(seed_wheel(), 2, 0)
+        assert _patch_scale_exponent(patch) == 2
+        tiling = detect_composites(patch, POLICIES[policy])
+        assert count_tiles(tiling) == {CompositeKind.THICK_RHOMB: 5}
+        assert verify_grouping(tiling).ok
 
     def test_empty_policy_rejected(self):
         with pytest.raises(ValueError):

@@ -228,6 +228,24 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="radius"):
             LatticeEnumeration(box=2, radius=radius)
 
+    @pytest.mark.parametrize("box,radius", [(8, 6.0), (8, 3.0), (4, 6.0)])
+    def test_an_enumeration_of_another_box_or_radius_is_refused(self, box, radius):
+        # it would count the points of its own box and radius: 351 and 346
+        # at box 8 and radius 6, against 81 and 96
+        enum = LatticeEnumeration(box, radius)
+        with pytest.raises(ValueError, match="enumeration is for box"):
+            scan_offset([symmetric_gamma()], 3.0, 4, enumeration=enum)
+        with pytest.raises(ValueError, match="enumeration is for box"):
+            generate_quasilattice(3.0, GENERIC_GAMMA, 4, enumeration=enum)
+
+    def test_a_matching_enumeration_counts_what_the_call_would(self):
+        enum = LatticeEnumeration(4, 3.0)
+        for enumeration in (None, enum):
+            assert scan_offset([symmetric_gamma()], 3.0, 4,
+                               enumeration=enumeration)[0].count == 81
+            assert len(generate_quasilattice(3.0, GENERIC_GAMMA, 4,
+                                             enumeration=enumeration)) == 96
+
 
 def criterion_11_path():
     z10 = symmetric_gamma()
@@ -255,10 +273,19 @@ def reference_accept(enum, gamma):
     return window_test(box_points(enum.box, enum.radius), gamma)
 
 
+def by_rows(points):
+    """(rows, par_xy) sorted lexicographically by their rows."""
+    rows, xy = points
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], xy[order]
+
+
 def assert_same_points(got, want):
+    """The same (rows, par_xy) as sets: accept promises no order."""
     assert len(got) == len(want) == 2
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    (rows, xy), (want_rows, want_xy) = by_rows(got), by_rows(want)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(xy, want_xy)
 
 
 class TestPrefilter:

@@ -109,6 +109,17 @@ class TestGroup:
         with pytest.raises(GroupClosureError):
             group_closure([scale], bound=50)
 
+    @pytest.mark.parametrize("closure", [
+        lambda gen, s_b: group_closure([gen, s_b]),
+        lambda gen, s_b: closure_with_words(gen, s_b),
+    ], ids=["group_closure", "closure_with_words"])
+    def test_a_generator_of_infinite_order_raises(self, closure):
+        # one bounded search serves both: tau scaling never closes
+        _, s_b = simple_reflections()
+        scale = mat([[TAU, ZERO], [ZERO, TAU]])
+        with pytest.raises(GroupClosureError, match="closure exceeded 1000 elements"):
+            closure(scale, s_b)
+
     def test_words_cover_group(self):
         s_a, s_b = simple_reflections()
         words = closure_with_words(s_a, s_b)
