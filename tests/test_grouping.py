@@ -447,6 +447,17 @@ class TestVerifyGroupingRejects:
         assert (f"isometry re-verification failed for {g.kind.value} "
                 f"at indices {g.indices}") in report.problems
 
+    @pytest.mark.parametrize("kind", [CompositeKind.ACUTE_TRIANGLE,
+                                      CompositeKind.OBTUSE_TRIANGLE])
+    def test_singleton_of_the_other_kind(self, tiling, kind):
+        other = next(k for k in (CompositeKind.ACUTE_TRIANGLE,
+                                 CompositeKind.OBTUSE_TRIANGLE) if k is not kind)
+        at = next(n for n, g in enumerate(tiling.groups) if g.kind is kind)
+        groups = list(tiling.groups)
+        groups[at] = replace(groups[at], kind=other)
+        report = verify_grouping(replace(tiling, groups=tuple(groups)))
+        assert report.problems == (f"bad singleton group {groups[at]}",)
+
     def test_out_of_range_singleton(self, tiling):
         g = Group(CompositeKind.ACUTE_TRIANGLE, (len(tiling.patch) + 3,))
         report = verify_grouping(replace(tiling, groups=tiling.groups + (g,)))
