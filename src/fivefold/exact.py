@@ -6,9 +6,14 @@ Every metric scalar in this package is a ``GoldenInt`` ``a + b*tau`` with
 types are immutable and all operations are pure, so values can be shared
 freely across threads.
 
-Floating point enters only through the ``embed`` methods; everything else
-is integer arithmetic (Python integers never overflow, so ring results are
-exact at any size).
+Floating point enters only through the ``embed`` methods and ``_embed``;
+everything else is integer arithmetic (Python integers never overflow, so
+ring results are exact at any size).
+
+The same arithmetic on coordinate arrays lives here too, for every layer:
+the exact product (``_matrix``, ``_times``), conjugation (``_CONJ``), signs
+(``_golden_signs``) and the float embedding (``_embed``).  numpy is
+imported at first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GoldenInt",
@@ -44,8 +53,13 @@ _COS72 = (math.sqrt(5.0) - 1.0) / 4.0
 _SIN72 = math.sqrt(10.0 + 2.0 * math.sqrt(5.0)) / 4.0
 _COS144 = -(math.sqrt(5.0) + 1.0) / 4.0
 _SIN144 = math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) / 4.0
-_COSK = (1.0, _COS72, _COS144, _COS144, _COS72)
-_SINK = (0.0, _SIN72, _SIN144, -_SIN144, -_SIN72)
+
+
+def _embed(z0, z1, z2, z3):
+    """The point z0 + z1*eps + z2*eps^2 + z3*eps^3 as floats (x, y): one
+    sequence of float operations, on integers or coordinate columns alike."""
+    return (z0 + z1 * _COS72 + z2 * _COS144 + z3 * _COS144,
+            z1 * _SIN72 + z2 * _SIN144 - z3 * _SIN144)
 
 
 def golden_sign(a: int, b: int) -> int:
@@ -121,16 +135,7 @@ class GoldenInt:
         raise ZeroDivisionError(f"{self} is not a unit of Z[tau] (norm {n})")
 
     def __pow__(self, k: int) -> "GoldenInt":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GoldenInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return self.inverse() ** -k if k < 0 else _power(self, k, GoldenInt(1, 0))
 
     def sign(self) -> int:
         """Exact sign of the embedded value."""
@@ -158,14 +163,14 @@ class GoldenInt:
         return f"GoldenInt({self.a}, {self.b})"
 
 
-def _mul5(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    """Coefficient product of two 5-term polynomials modulo x^5 - 1."""
-    out = [0, 0, 0, 0, 0]
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            out[(i + j) % 5] += pi * qj
+def _power(base, k: int, one):
+    """base^k for k >= 0, by repeated squaring."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
     return out
 
 
@@ -202,10 +207,13 @@ class CycloPoint:
 
     def __mul__(self, other: "CycloPoint | GoldenInt | int") -> "CycloPoint":
         if isinstance(other, CycloPoint):
-            c = _mul5((self.z0, self.z1, self.z2, self.z3, 0),
-                      (other.z0, other.z1, other.z2, other.z3, 0))
-            w = c[4]
-            return CycloPoint(c[0] - w, c[1] - w, c[2] - w, c[3] - w)
+            # the product modulo x^5 - 1, then eps^4 = -1 - eps - eps^2 - eps^3
+            a0, a1, a2, a3 = self.z0, self.z1, self.z2, self.z3
+            b0, b1, b2, b3 = other.z0, other.z1, other.z2, other.z3
+            c4 = a1 * b3 + a2 * b2 + a3 * b1
+            return CycloPoint(a0 * b0 + a2 * b3 + a3 * b2 - c4, a0 * b1 + a1 * b0 + a3 * b3 - c4,
+                              a0 * b2 + a1 * b1 + a2 * b0 - c4,
+                              a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4)
         if isinstance(other, GoldenInt):
             return self * other.a + (self * TAU_C) * other.b
         if isinstance(other, int):
@@ -213,8 +221,7 @@ class CycloPoint:
                               self.z2 * other, self.z3 * other)
         return NotImplemented
 
-    def __rmul__(self, other: "GoldenInt | int") -> "CycloPoint":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def rotate72(self) -> "CycloPoint":
         """Rotation by 72 degrees about the origin (multiplication by eps)."""
@@ -244,22 +251,12 @@ class CycloPoint:
         return GoldenInt(self.z2 - self.z3, self.z1)
 
     def embed(self) -> tuple[float, float]:
-        z = self.coords()
-        x = z[0] + z[1] * _COSK[1] + z[2] * _COSK[2] + z[3] * _COSK[3]
-        y = z[1] * _SINK[1] + z[2] * _SINK[2] + z[3] * _SINK[3]
-        return (x, y)
+        return _embed(self.z0, self.z1, self.z2, self.z3)
 
     def __pow__(self, k: int) -> "CycloPoint":
         if k < 0:
             raise ValueError("negative powers of CycloPoint are not defined")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ONE)
 
     def __str__(self) -> str:
         return f"({self.z0},{self.z1},{self.z2},{self.z3})"
@@ -279,6 +276,42 @@ ROT36 = (
     CycloPoint(0, 0, 0, 1), CycloPoint(0, -1, 0, 0), CycloPoint(-1, -1, -1, -1),
     CycloPoint(0, 0, -1, 0),
 )
+
+
+# Complex conjugation as a matrix like _matrix's: row j is conj(eps^j).
+_CONJ = ((1, 0, 0, 0), (-1, -1, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+@lru_cache(maxsize=8)
+def _matrix(factor: CycloPoint) -> tuple[tuple[int, ...], ...]:
+    """The 4x4 integer matrix of multiplication by factor: row j is
+    eps^j * factor, so z * factor = z @ matrix."""
+    rows = [factor]
+    for _ in range(3):
+        rows.append(rows[-1].rotate72())
+    return tuple(row.coords() for row in rows)
+
+
+def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
+    """Each point (a coordinate row) times factor, exactly: in int64 where
+    no sum of products can overflow it, else on Python ints (dtype object)."""
+    import numpy as np
+
+    matrix = np.array(_matrix(factor), dtype=object)
+    reach = max(1, int(points.max(initial=0)), -int(points.min(initial=0)))
+    if 4 * max(1, int(abs(matrix).max())) * reach < 2 ** 63:
+        return points.astype(np.int64) @ matrix.astype(np.int64)
+    return points.astype(object) @ matrix
+
+
+def _golden_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``golden_sign`` of each a + b*tau.  Where a and b have opposite
+    signs, that is the sign of a times the sign of the norm a^2 + ab - b^2
+    (never 0, tau being irrational); elsewhere it is the sign of a + b."""
+    import numpy as np
+
+    mixed = ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
+    return np.where(mixed, np.sign(a) * np.sign(a * a + a * b - b * b), np.sign(a + b))
 
 
 def sq_norm_ab(z: Sequence[int]) -> tuple[int, int]:

@@ -13,7 +13,8 @@ balanced mixed radix derived from the coordinate bound of the data at
 hand, so equal keys mean equal triangles and translation is integer
 addition.  A lazily cached pose table, one per (template, scale exponent),
 holds the 20 posed, scaled copies of each template relative to its anchor
-apex.  ``detect_composites`` probes it with one integer add per template
+apex, posed with ``exact``'s array product and conjugation matrix.
+``detect_composites`` probes it with one integer add per template
 triangle; ``verify_grouping`` translates the recorded pose by the recorded
 shift and compares triangle sets exactly.  One rule, ``_pair_kinds``,
 decides the mirror-twin pairs of ``glue_rhombs`` and re-verifies them.
@@ -32,6 +33,7 @@ union with base equal to the pentagon side, harvested the same way.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +41,8 @@ from functools import cache, cached_property
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import ONE, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, sq_norm_ab
+from .exact import (_CONJ, EPS, ONE, PHI, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, _matrix,
+                    _times, sq_norm_ab)
 from .triangles import (
     Patch,
     Triangle,
@@ -434,13 +437,12 @@ class _Packing:
         r = self.radix
         return ((z[0] * r + z[1]) * r + z[2]) * r + z[3]
 
-    def weights(self, k: int) -> tuple[int, int, int, int]:
-        """The packed point of eps^k * z as a linear form in z: the weights
-        (R^3, R^2, R, 1, -(R^3+R^2+R+1)) of the five-term form
-        z0 + ... + z3*eps^3 + 0*eps^4, shifted cyclically by k."""
+    def weights(self, k: int) -> tuple[int, ...]:
+        """The packed point of eps^k * z as a linear form in z: the matrix
+        of eps^k applied to the digit weights (R^3, R^2, R, 1)."""
         r = self.radix
-        w = (r ** 3, r * r, r, 1, -(r ** 3 + r * r + r + 1))
-        return w[k % 5], w[(k + 1) % 5], w[(k + 2) % 5], w[(k + 3) % 5]
+        return tuple(sum(z * w for z, w in zip(row, (r ** 3, r * r, r, 1)))
+                     for row in _matrix(EPS ** (k % 5)))
 
     def table(self, coords: np.ndarray, kind: np.ndarray, k: int) -> np.ndarray:
         """(N, 4): the packed columns (kind, apex, lower base, upper base)
@@ -524,53 +526,45 @@ class _PoseTable(NamedTuple):
     span: int                 # largest |coordinate| of a part relative to its anchor
     reach: int                # largest |coordinate| of a posed part point
 
-    def index(self, iso: Isometry) -> int:
-        return 2 * (iso.rot % 10) + bool(iso.mirror)
-
 
 @cache
 def _pose_table(kind: CompositeKind, exponent: int) -> _PoseTable:
-    """The template of ``kind`` at scale tau^exponent in all 20 poses."""
+    """The template of ``kind`` at scale tau^exponent in all 20 poses: its
+    (P, 3, 4) corner array and that array's conjugate, for a mirror, times
+    tau^exponent, then times each rotation."""
     import numpy as np
 
-    scale = TAU ** exponent
     parts = templates()[kind].parts
-    scaled = {p: p * scale for t in parts for p in t.points()}
+    corners = np.array([[p.coords() for p in t.points()] for t in parts])
+    scale = TAU ** exponent  # a + b*tau = a - b*eps^2 - b*eps^3
+    scaled = _times(np.stack((corners, corners @ np.array(_CONJ))),
+                    CycloPoint(scale.a, 0, -scale.b, -scale.b))
     poses, span, reach = [], 0, 0
     for rot in range(10):
-        for mirror in (False, True):
-            posed = {p: ((q.conj() if mirror else q) * ROT36[rot]).coords()
-                     for p, q in scaled.items()}
-            corners = np.array([[posed[p] for p in t.points()] for t in parts])
+        for mirror, corners in zip((False, True), _times(scaled, ROT36[rot])):
             rel = corners - corners[0, 0]
             span = max(span, _max_abs(rel))
             reach = max(reach, _max_abs(corners))
-            chirality = -parts[0].chirality if mirror else parts[0].chirality
-            poses.append(_Pose(rot, mirror, chirality,
+            poses.append(_Pose(rot, mirror, parts[0].chirality * (-1 if mirror else 1),
                                CycloPoint(*corners[0, 0].tolist()), rel))
     kinds = np.array([t.kind is TriangleKind.OBTUSE for t in parts], dtype=np.int8)
     return _PoseTable(kinds, tuple(poses), span, reach)
 
 
 def _patch_scale_exponent(patch: Patch) -> int:
-    """m such that patch legs are tau^m times the canonical leg; raises if
-    the patch is not at a tau-power scale."""
+    """m, |m| <= 64, such that patch legs are tau^m times the canonical leg;
+    raises if there is none.  The squared leg tau^(2m+2) or its conjugate
+    tau^-(2m+2), whichever has coefficients of one sign and so no
+    cancellation, names m by its logarithm; one exact power checks it."""
     apex, base0 = patch.coords[0, :2].tolist()
     leg = GoldenInt(*sq_norm_ab([q - p for p, q in zip(apex, base0)]))
-    probe = TAU2
-    if leg == probe:
-        return 0
-    up = probe
-    down = probe
-    inv2 = (TAU ** -1) ** 2
-    for m in range(1, 65):
-        up = up * TAU * TAU
-        down = down * inv2
-        if leg == up:
-            return m
-        if leg == down:
-            return -m
-    raise ValueError("patch edge length is not a tau-power of the canonical leg")
+    x, sign = (leg, 1) if leg.a >= 0 and leg.b >= 0 else (leg.conj(), -1)
+    m = 65  # refused: a zero leg, or one far past tau^130, whose coefficients are below 2^90
+    if 0 < max(x.a, x.b).bit_length() < 128:
+        m = sign * round(math.log(x.embed(), PHI) / 2) - 1
+    if abs(m) > 64 or leg != TAU ** (2 * m + 2):
+        raise ValueError("patch edge length is not a tau-power of the canonical leg")
+    return m
 
 
 def detect_composites(patch: Patch,
@@ -774,7 +768,7 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
         made[two] = 2 + _pair_kinds(patch._numbering[1], patch.kind, i, j)
     walk = np.flatnonzero(made != named).tolist()  # with every template group
 
-    template_groups = [g for g in walk if posed[g]]
+    template_groups = [g for g in walk if posed[g] and whole[g]]
     if template_groups:
         exponent = _patch_scale_exponent(patch)
         # covers the patch and every translated posed part point
@@ -791,14 +785,15 @@ def verify_grouping(tiling: CompositeTiling) -> GroupingReport:
             problems.append(f"bad singleton group {group}" if single[g]
                             else f"pair group failed re-verification: {group}")
             continue
-        table, iso = _pose_table(_BY_NAME[kinds[g]], exponent), isometries[g]
-        at = kinds[g], table.index(iso)
-        pose = table.poses[at[1]]
-        if at not in part_keys:
-            part_keys[at] = pack.keys(pack.table(pose.parts, table.kind, 0))
-        shift = pack.point((pose.anchor + iso.shift).coords()) * pack.shift
-        if not whole[g] or ({keys[i] for i in indices}
-                            != {key + shift for key in part_keys[at]}):
-            problems.append(f"isometry re-verification failed for {kinds[g]} "
-                            f"at indices {tuple(indices)}")
+        if whole[g]:
+            table, iso = _pose_table(_BY_NAME[kinds[g]], exponent), isometries[g]
+            at = kinds[g], 2 * (iso.rot % 10) + bool(iso.mirror)
+            pose = table.poses[at[1]]
+            if at not in part_keys:
+                part_keys[at] = pack.keys(pack.table(pose.parts, table.kind, 0))
+            shift = pack.point((pose.anchor + iso.shift).coords()) * pack.shift
+            if {keys[i] for i in indices} == {key + shift for key in part_keys[at]}:
+                continue
+        problems.append(f"isometry re-verification failed for {kinds[g]} "
+                        f"at indices {tuple(indices)}")
     return GroupingReport(not problems, tuple(problems))

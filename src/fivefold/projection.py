@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import CycloPoint, sq_norm_ab
-from .triangles import _golden_signs, _symmetry_order
+from .exact import CycloPoint, _golden_signs, sq_norm_ab
+from .triangles import _symmetry_order
 
 __all__ = [
     "ProjectionBasis",

@@ -4,7 +4,8 @@ Output is assembled by plain string formatting with six-decimal
 coordinates; identical documents and options give bit-identical bytes.
 When the document carries groups, each group is drawn as one polygon per
 loop of its rim in its kind's palette colour, otherwise one polygon per
-triangle; rims and the overlay's exact scaling come from ``triangles``.
+triangle.  Rims come from ``triangles``; the overlay's exact scaling and the
+float embedding of every point come from ``exact``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .exact import _COSK, _SINK, EPS, PHI, TAU_C
+from .exact import EPS, PHI, TAU_C, _embed, _times
 from .document import DocumentError, TilingDocument
-from .triangles import _loops, _rim, _times
+from .triangles import _loops, _rim
 
 if TYPE_CHECKING:  # numpy is imported at first use
     import numpy as np
@@ -78,13 +79,10 @@ _LOG_TAU = math.log(PHI)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _embed(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's x and y, by the float operations of CycloPoint.embed in
-    their order, so that the floats are the same."""
-    z0, z1, z2, z3 = points.T
+def _xy(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's x and y as ``CycloPoint.embed`` gives them."""
     try:
-        x = z0 + z1 * _COSK[1] + z2 * _COSK[2] + z3 * _COSK[3]
-        y = z1 * _SINK[1] + z2 * _SINK[2] + z3 * _SINK[3]
+        x, y = _embed(*points.T)
     except OverflowError:  # an integer coordinate too large for a float
         raise ValueError(_BEYOND) from None
     return x.astype(float), y.astype(float)
@@ -96,7 +94,7 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
     doc.validate()
     scale = options.scale
     points, table = doc._arrays
-    x, y = _embed(points)
+    x, y = _xy(points)
     if len(points):
         lo_x, hi_x = float(x.min()) - _MARGIN, float(x.max()) + _MARGIN
         lo_y, hi_y = float(y.min()) - _MARGIN, float(y.max()) + _MARGIN
@@ -141,7 +139,7 @@ def render_svg(doc: TilingDocument, options: RenderOptions = RenderOptions()) ->
             # its coordinates would overflow: refuse before computing tau^k
             raise ValueError(_BEYOND)
         else:
-            overlay = corners(*_embed(_times(points, TAU_C ** k * EPS ** (m % 5))))
+            overlay = corners(*_xy(_times(points, TAU_C ** k * EPS ** (m % 5))))
         for _, loop in outlines:
             parts.append(f'<polygon points="{" ".join(map(overlay.__getitem__, loop))}" '
                          f'fill="none" stroke="{_OVERLAY}" stroke-width="2.000000"/>\n')

@@ -18,12 +18,11 @@ Lengths are in edge units: the acute base has squared length 1, every leg
 tau^2, the obtuse base tau^4.
 
 A ``Patch`` is stored as arrays (coordinates, kind, chirality, parent), and
-deflation, vertex numbering, validation and homothety run on them;
-``Triangle`` is the exact object form of one triangle, built on request.
-The rim of a set of triangles (``_rim``, ``_loops``), exact products
-with a point (``_times``) and the rotational order of a point set
-(``_symmetry_order``) are decided here alone, for the SVG layer and the
-projection scan too.
+deflation, vertex numbering, validation and homothety run on them, with the
+array arithmetic of ``exact``; ``Triangle`` is the exact object form of one
+triangle, built on request.  The rim of a set of triangles (``_rim``,
+``_loops``) and the rotational order of a point set (``_symmetry_order``)
+are decided here alone, for the SVG layer and the projection scan too.
 numpy is imported at first use, so importing this module does not load it.
 """
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .exact import (
@@ -42,6 +41,8 @@ from .exact import (
     ZERO,
     CycloPoint,
     GoldenInt,
+    _golden_signs,
+    _times,
     cross_ab,
     cross_sign,
     dot2,
@@ -176,16 +177,6 @@ def _coord_array(rows) -> np.ndarray:
     if out.size and (out.max() > _INT64_BOUND or out.min() < -_INT64_BOUND):
         return out.astype(object)
     return out
-
-
-def _golden_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``golden_sign`` of each a + b*tau.  Where a and b have opposite
-    signs, that is the sign of a times the sign of the norm a^2 + ab - b^2
-    (never 0, tau being irrational); elsewhere it is the sign of a + b."""
-    import numpy as np
-
-    mixed = ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
-    return np.where(mixed, np.sign(a) * np.sign(a * a + a * b - b * b), np.sign(a + b))
 
 
 def _shape_rule(kind: np.ndarray, chirality: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -448,25 +439,6 @@ def deflate_patch(patch: Patch, steps: int, jobs: int = 1) -> Patch:
                                  generation=out.generation + 1, seed=out.seed,
                                  ancestor=out)
     return out
-
-
-@lru_cache(maxsize=8)
-def _matrix(factor: CycloPoint) -> tuple[tuple[int, ...], ...]:
-    """The 4x4 integer matrix of multiplication by factor: row j is
-    eps^j * factor, so z * factor = z @ matrix."""
-    return tuple((EPS ** j * factor).coords() for j in range(4))
-
-
-def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
-    """Each point (a coordinate row) times factor, exactly: in int64 where
-    no sum of products can overflow it, else on Python ints (dtype object)."""
-    import numpy as np
-
-    matrix = np.array(_matrix(factor), dtype=object)
-    reach = max(1, int(points.max(initial=0)), -int(points.min(initial=0)))
-    if 4 * int(abs(matrix).max()) * reach < 2 ** 63:
-        return points.astype(np.int64) @ matrix.astype(np.int64)
-    return points.astype(object) @ matrix
 
 
 def _deflate_arrays(coords: np.ndarray, kind: np.ndarray, chirality: np.ndarray):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fivefold.exact import (
+    _CONJ,
     EPS,
     EPS1,
     ONE,
@@ -11,9 +13,12 @@ from fivefold.exact import (
     TAU_C,
     CycloPoint,
     GoldenInt,
+    _golden_signs,
+    _times,
     cross_ab,
     cross_sign,
     dot2,
+    golden_sign,
     int_lin_independent,
     sq_norm_ab,
 )
@@ -300,3 +305,45 @@ class TestIntegerIndependence:
         rel = verdict.relation
         for i in range(3):
             assert sum(c * v[i] for c, v in zip(rel, vecs)) == 0
+
+
+# rows of coordinates, within int64 or past it
+int64_rows = st.lists(st.tuples(*[st.integers(-2 ** 40, 2 ** 40)] * 4), min_size=1, max_size=6)
+wide_rows = st.lists(st.tuples(*[st.integers(-2 ** 80, 2 ** 80)] * 4), min_size=1, max_size=6)
+
+
+def as_array(rows):
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+class TestArrayArithmetic:
+    """The array primitives agree with the scalar methods, row by row."""
+
+    @given(int64_rows | wide_rows)
+    def test_conj_matrix_is_conj(self, rows):
+        got = (as_array(rows) @ np.array(_CONJ)).tolist()
+        assert got == [list(CycloPoint(*row).conj().coords()) for row in rows]
+
+    @given(int64_rows | wide_rows, st.integers(0, 20))
+    def test_times_rot36_power_is_repeated_rotate36(self, rows, k):
+        want = []
+        for row in rows:
+            p = CycloPoint(*row)
+            for _ in range(k):
+                p = p.rotate36()
+            want.append(list(p.coords()))
+        assert _times(as_array(rows), EPS1 ** k).tolist() == want
+
+    @given(int64_rows | wide_rows, cyclos)
+    def test_times_is_the_product(self, rows, factor):
+        got = _times(as_array(rows), factor).tolist()
+        assert got == [list((CycloPoint(*row) * factor).coords()) for row in rows]
+
+    @given(st.lists(st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 20, 2 ** 20)),
+                    min_size=1, max_size=8))
+    def test_golden_signs(self, pairs):
+        a, b = np.array(pairs, dtype=np.int64).T
+        assert _golden_signs(a, b).tolist() == [golden_sign(x, y) for x, y in pairs]

@@ -14,9 +14,12 @@ from fivefold.grouping import (
     SET_A,
     SET_B,
     CompositeKind,
+    CompositeTiling,
     Group,
+    Isometry,
     _canonical_index_order,
     _Packing,
+    _pose_table,
     _patch_scale_exponent,
     count_tiles,
     detect_composites,
@@ -30,6 +33,7 @@ from fivefold.triangles import (
     Triangle,
     TriangleKind,
     canonical_acute,
+    canonical_obtuse,
     deflate_patch,
     homothety_rotation,
     seed_patch,
@@ -336,6 +340,62 @@ class TestPinnedAssignments:
             assert got == want
 
 
+
+# ------------------------------------------------------------- pose tables
+
+def pose_table_digest() -> str:
+    """sha256 over every pose of every composite template at exponents -9
+    to 3: each pose's rot, mirror, chirality, anchor, parts dtype and parts,
+    and each table's part kinds, span and reach."""
+    h = hashlib.sha256()
+    for kind in CompositeKind:
+        if kind in (CompositeKind.ACUTE_TRIANGLE, CompositeKind.OBTUSE_TRIANGLE):
+            continue
+        for exponent in range(-9, 4):
+            table = _pose_table(kind, exponent)
+            h.update(repr((kind.value, exponent, table.kind.tolist(),
+                           table.span, table.reach)).encode())
+            for pose in table.poses:
+                h.update(repr((pose.rot, pose.mirror, pose.chirality, pose.anchor.coords(),
+                               str(pose.parts.dtype), pose.parts.tolist())).encode())
+    return h.hexdigest()
+
+
+# Recorded with the pose tables built point by point from CycloPoint products.
+PINNED_POSE_TABLES = "2f0ea5d193442d7bcf55419ad1e62a650acc78cf9cbf70aed9784366ceb8efc5"
+
+
+class TestPoseTables:
+    def test_pose_table_digest(self):
+        assert pose_table_digest() == PINNED_POSE_TABLES
+
+    def test_built_on_arrays(self, monkeypatch):
+        # no CycloPoint product or conjugate per template point
+        templates()
+        calls = []
+        for name in ("__mul__", "conj"):
+            method = getattr(CycloPoint, name)
+            monkeypatch.setattr(CycloPoint, name, lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        _pose_table.__wrapped__(CompositeKind.PENTAGON_BIG, -3)
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [-64, -1, 0, 1, 64])
+    @pytest.mark.parametrize("seed", [canonical_acute, canonical_obtuse])
+    def test_scale_exponent(self, seed, m):
+        scale = TAU ** m
+        patch = Patch((seed().transform(lambda p: p * scale),))
+        assert _patch_scale_exponent(patch) == m
+
+    @pytest.mark.parametrize("scale", [TAU ** 65, TAU ** -65, GoldenInt(2, 0)],
+                             ids=["tau^65", "tau^-65", "2"])
+    def test_scale_exponent_refused(self, scale):
+        patch = Patch((canonical_acute().transform(lambda p: p * scale),))
+        with pytest.raises(ValueError, match="^patch edge length is not a tau-power "
+                                             "of the canonical leg$"):
+            _patch_scale_exponent(patch)
+
+
 # ------------------------------------------------------------ integer keys
 
 small_coords = st.tuples(*[st.integers(-40, 40)] * 4)
@@ -457,6 +517,13 @@ class TestVerifyGroupingRejects:
         groups[at] = replace(groups[at], kind=other)
         report = verify_grouping(replace(tiling, groups=tuple(groups)))
         assert report.problems == (f"bad singleton group {groups[at]}",)
+
+    def test_template_group_on_an_empty_patch(self):
+        g = Group(CompositeKind.THICK_RHOMB, (0, 1), Isometry(0, False, CycloPoint(0, 0, 0, 0)))
+        report = verify_grouping(CompositeTiling(Patch(()), (g,)))
+        assert report.problems == ("groups do not cover the triangle set",
+                                   "isometry re-verification failed for ThickRhomb "
+                                   "at indices (0, 1)")
 
     def test_out_of_range_singleton(self, tiling):
         g = Group(CompositeKind.ACUTE_TRIANGLE, (len(tiling.patch) + 3,))
