@@ -559,12 +559,11 @@ def _patch_scale_exponent(patch: Patch) -> int:
     apex, base0 = patch.coords[0, :2].tolist()
     leg = GoldenInt(*sq_norm_ab([q - p for p, q in zip(apex, base0)]))
     x, sign = (leg, 1) if leg.a >= 0 and leg.b >= 0 else (leg.conj(), -1)
-    m = 65  # refused: a zero leg, or one far past tau^130, whose coefficients are below 2^90
-    if 0 < max(x.a, x.b).bit_length() < 128:
+    if 0 < max(x.a, x.b).bit_length() < 128:  # neither 0 nor far past tau^130 (< 2^90)
         m = sign * round(math.log(x.embed(), PHI) / 2) - 1
-    if abs(m) > 64 or leg != TAU ** (2 * m + 2):
-        raise ValueError("patch edge length is not a tau-power of the canonical leg")
-    return m
+        if abs(m) <= 64 and leg == TAU ** (2 * m + 2):
+            return m
+    raise ValueError("patch edge length is not a tau-power of the canonical leg")
 
 
 def detect_composites(patch: Patch,
