@@ -10,18 +10,19 @@ Floating point enters only through the ``embed`` methods and ``_embed``;
 everything else is integer arithmetic (Python integers never overflow, so
 ring results are exact at any size).
 
-The same arithmetic on coordinate arrays lives here too, for every layer:
-the exact product (``_matrix``, ``_times``), conjugation (``_CONJ``), signs
-(``_golden_signs``) and the float embedding (``_embed``).  numpy is
-imported at first use, so importing this module does not load it.
+Its arithmetic on coordinate arrays serves every layer: the exact product
+(``_matrix``, ``_times``), conjugation (``_CONJ``), signs and order keys
+(``_golden_signs``, ``_golden_keys``) and the float embedding (``_embed``).
+numpy is imported at first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -80,6 +81,21 @@ def golden_sign(a: int, b: int) -> int:
     return 1 if d * d - d * b - b * b < 0 else -1
 
 
+def _ring_operator(method):
+    """A GoldenInt operator whose other operand is a GoldenInt or an integer
+    (int or numpy integer, by ``operator.index``); anything else gets
+    NotImplemented, so that Python tries the other operand's method."""
+    @wraps(method)
+    def operator_(self, other):
+        if not isinstance(other, GoldenInt):
+            try:
+                other = GoldenInt(operator.index(other), 0)
+            except TypeError:
+                return NotImplemented
+        return method(self, other)
+    return operator_
+
+
 @dataclass(frozen=True, slots=True)
 class GoldenInt:
     """Element a + b*tau of Z[tau], reduced via tau^2 = tau + 1."""
@@ -87,30 +103,25 @@ class GoldenInt:
     a: int
     b: int
 
-    @classmethod
-    def of(cls, x: "GoldenInt | int") -> "GoldenInt":
-        if isinstance(x, GoldenInt):
-            return x
-        return cls(x, 0)
-
-    def __add__(self, other: "GoldenInt | int") -> "GoldenInt":
-        o = GoldenInt.of(other)
+    @_ring_operator
+    def __add__(self, o: "GoldenInt | int") -> "GoldenInt":
         return GoldenInt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "GoldenInt | int") -> "GoldenInt":
-        o = GoldenInt.of(other)
+    @_ring_operator
+    def __sub__(self, o: "GoldenInt | int") -> "GoldenInt":
         return GoldenInt(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other: "GoldenInt | int") -> "GoldenInt":
-        return GoldenInt.of(other) - self
+    @_ring_operator
+    def __rsub__(self, o: "GoldenInt | int") -> "GoldenInt":
+        return o - self
 
     def __neg__(self) -> "GoldenInt":
         return GoldenInt(-self.a, -self.b)
 
-    def __mul__(self, other: "GoldenInt | int") -> "GoldenInt":
-        o = GoldenInt.of(other)
+    @_ring_operator
+    def __mul__(self, o: "GoldenInt | int") -> "GoldenInt":
         # (a + b*tau)(c + d*tau) = ac + (ad + bc)*tau + bd*(tau + 1)
         return GoldenInt(self.a * o.a + self.b * o.b,
                          self.a * o.b + self.b * o.a + self.b * o.b)
@@ -141,17 +152,21 @@ class GoldenInt:
         """Exact sign of the embedded value."""
         return golden_sign(self.a, self.b)
 
-    def __lt__(self, other: "GoldenInt | int") -> bool:
-        return (self - GoldenInt.of(other)).sign() < 0
+    @_ring_operator
+    def __lt__(self, o: "GoldenInt | int") -> bool:
+        return (self - o).sign() < 0
 
-    def __le__(self, other: "GoldenInt | int") -> bool:
-        return (self - GoldenInt.of(other)).sign() <= 0
+    @_ring_operator
+    def __le__(self, o: "GoldenInt | int") -> bool:
+        return (self - o).sign() <= 0
 
-    def __gt__(self, other: "GoldenInt | int") -> bool:
-        return (self - GoldenInt.of(other)).sign() > 0
+    @_ring_operator
+    def __gt__(self, o: "GoldenInt | int") -> bool:
+        return (self - o).sign() > 0
 
-    def __ge__(self, other: "GoldenInt | int") -> bool:
-        return (self - GoldenInt.of(other)).sign() >= 0
+    @_ring_operator
+    def __ge__(self, o: "GoldenInt | int") -> bool:
+        return (self - o).sign() >= 0
 
     def embed(self) -> float:
         return self.a + self.b * PHI
@@ -195,10 +210,14 @@ class CycloPoint:
         return self.z0 == 0 and self.z1 == 0 and self.z2 == 0 and self.z3 == 0
 
     def __add__(self, other: "CycloPoint") -> "CycloPoint":
+        if not isinstance(other, CycloPoint):
+            return NotImplemented
         return CycloPoint(self.z0 + other.z0, self.z1 + other.z1,
                           self.z2 + other.z2, self.z3 + other.z3)
 
     def __sub__(self, other: "CycloPoint") -> "CycloPoint":
+        if not isinstance(other, CycloPoint):
+            return NotImplemented
         return CycloPoint(self.z0 - other.z0, self.z1 - other.z1,
                           self.z2 - other.z2, self.z3 - other.z3)
 
@@ -314,6 +333,22 @@ def _golden_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(mixed, np.sign(a) * np.sign(a * a + a * b - b * b), np.sign(a + b))
 
 
+def _golden_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer keys that order the values a + b*tau exactly, equal exactly
+    where the values are.  For |a|, |b| <= M and k = 2*bitlen(M) + 3, the key
+    a*2^k + b*floor(tau*2^k) is within M of 2^k (a + b*tau), and distinct values
+    differ by over 1/(3.24 M) (a nonzero integer norm over a conjugate of at
+    most 3.24 M), so 2^k > 8 M^2 keeps keys apart.  They are int64 while below
+    2^62 (3*bitlen(M) + 5 <= 62), else Python ints."""
+    import numpy as np
+
+    bits = max(1, int(abs(a).max(initial=0)), int(abs(b).max(initial=0))).bit_length()
+    k = 2 * bits + 3
+    tau_k = (2 ** k + math.isqrt(5 * 4 ** k)) // 2  # floor(tau * 2^k)
+    dtype = np.int64 if 3 * bits + 5 <= 62 else object
+    return a.astype(dtype) * 2 ** k + b.astype(dtype) * tau_k
+
+
 def sq_norm_ab(z: Sequence[int]) -> tuple[int, int]:
     """|z|^2 = a + b*tau for the coordinates z of a point, as (a, b).
 
@@ -343,11 +378,6 @@ def cross_ab(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
 def cross_sign(u: CycloPoint, v: CycloPoint) -> int:
     """Exact sign of the cross product of the embedded vectors u, v."""
     return golden_sign(*cross_ab((u.z0, u.z1, u.z2, u.z3), (v.z0, v.z1, v.z2, v.z3)))
-
-
-def dot2(u: CycloPoint, v: CycloPoint) -> GoldenInt:
-    """Twice the Euclidean dot product of embedded u, v, exactly."""
-    return (u.conj() * v).real2()
 
 
 @dataclass(frozen=True, slots=True)

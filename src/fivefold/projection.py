@@ -22,7 +22,7 @@ each to the rows of the window's diagonal band.  The ellipsoid and the
 band reject only points provably outside the closed window, so every
 accept decision is the float test itself.  A scan decides each offset's
 rotational order exactly, on the integer rows of its accepted points,
-about the one nearest the origin.
+about the one nearest the origin by the exact keys of its |c|^2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import CycloPoint, _golden_signs, sq_norm_ab
+from .exact import CycloPoint, _golden_keys, sq_norm_ab
 from .triangles import _symmetry_order
 
 __all__ = [
@@ -308,18 +308,11 @@ def generate_quasilattice(radius: float, gamma: Sequence[float], box: int,
 
 
 def _nearest(rows: np.ndarray) -> int:
-    """The index of the row nearest the origin by exact |c|^2 = a + b*tau,
-    the lexicographically first among ties: a knockout over the rows in
-    lexicographic order, where the right row of a pair goes on only when
-    it is strictly nearer."""
+    """The index of the row nearest the origin by the exact keys of its
+    |c|^2, the lexicographically first among ties (the first least key)."""
     idx = np.lexsort(rows.T[::-1])
-    a, b = sq_norm_ab((rows[idx, :4] - rows[idx, 4:]).T)
-    while len(idx) > 1:
-        n = len(idx) // 2 * 2
-        ahead = _golden_signs(a[1:n:2] - a[:n:2], b[1:n:2] - b[:n:2]) < 0
-        keep = np.append(np.arange(0, n, 2) + ahead, np.arange(n, len(idx)))
-        idx, a, b = idx[keep], a[keep], b[keep]
-    return int(idx[0])
+    keys = _golden_keys(*sq_norm_ab((rows[idx, :4] - rows[idx, 4:]).T))
+    return int(idx[np.argmin(keys)])
 
 
 def scan_offset(path: Sequence[Sequence[float]], radius: float, box: int,

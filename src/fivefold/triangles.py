@@ -19,11 +19,12 @@ tau^2, the obtuse base tau^4.
 
 A ``Patch`` is stored as arrays (coordinates, kind, chirality, parent), and
 deflation, vertex numbering, validation and homothety run on them, with the
-array arithmetic of ``exact``; ``Triangle`` is the exact object form of one
-triangle, built on request.  The rim of a set of triangles (``_rim``,
-``_loops``) and the rotational order of a point set (``_symmetry_order``)
-are decided here alone, for the SVG layer and the projection scan too.
-numpy is imported at first use, so importing this module does not load it.
+array arithmetic and exact order keys of ``exact``; ``Triangle`` is the
+exact object form of one triangle, built on request.  The rim of a set of
+triangles (``_rim``, ``_loops``) and the rotational order of a point set
+(``_symmetry_order``) are decided here alone, for the SVG layer and the
+projection scan too.  numpy is imported at first use, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .exact import (
     ZERO,
     CycloPoint,
     GoldenInt,
+    _golden_keys,
     _golden_signs,
     _times,
     cross_ab,
     cross_sign,
-    dot2,
     golden_sign,
     sq_norm_ab,
 )
@@ -556,18 +557,6 @@ class PatchReport:
         return self.problems[0] if self.problems else None
 
 
-def _point_on_open_segment(v: CycloPoint, p: CycloPoint, q: CycloPoint) -> bool:
-    """Exact test: does v lie strictly between p and q on their segment?"""
-    if v == p or v == q:
-        return False
-    d = q - p
-    w = v - p
-    if cross_sign(w, d) != 0:
-        return False
-    t = dot2(w, d)
-    return t.sign() > 0 and (t - dot2(d, d)).sign() < 0
-
-
 # Corner angles at (apex, base0, base1) in units of 36 degrees, by kind code.
 _CORNER_UNITS = ((1, 2, 2), (3, 1, 1))
 _FULL_TURN = 10  # 360 degrees
@@ -588,7 +577,7 @@ def validate_patch(patch: Patch) -> PatchReport:
     6. the boundary edges form one cycle;
     7. V - E + F = 1;
     8. the boundary is a simple polygon: two boundary edges meet at most in
-       a shared endpoint, and never overlap along it.
+       a shared endpoint and never overlap along it, by an exact sweep.
 
     By 3-5 the patch is a surface mapped to the plane locally injectively,
     by 5-7 that surface is a disk, and a locally injective map of a disk
@@ -610,7 +599,7 @@ def validate_patch(patch: Patch) -> PatchReport:
 
 class _Points:
     """A (V, 4) coordinate table read as a sequence of points, each built
-    when it is asked for: the validator names or compares only a few."""
+    when it is asked for: the validator names only a few."""
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
@@ -653,7 +642,7 @@ def validate_disk(patch: Patch) -> PatchReport:
     topology = _topology_problem(points, angle.astype(np.int64), boundary, n_edges, n)
     if topology:
         problems.append(f"{topology}: not a disk")
-    crossing = _boundary_crossing(points, boundary.tolist(), (rim // 3).tolist())
+    crossing = _boundary_crossing(points, boundary, rim // 3)
     if crossing:
         problems.append(crossing)
     return PatchReport(not problems, tuple(problems))
@@ -753,46 +742,52 @@ def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> st
     return None
 
 
-def _boundary_crossing(points, boundary: list[list[int]], owners: list[int]) -> str | None:
+def _boundary_crossing(points: _Points, boundary: np.ndarray, owners: np.ndarray) -> str | None:
     """Condition 8 of ``validate_patch``: the first two boundary edges that
     meet anywhere but a shared endpoint, or overlap along one.  Each
     boundary edge is a (p, q) index pair into points, owned by the
     triangle of the same position in owners.
 
-    A sweep in x over exact bounding boxes: 2*Re and Im/sin(36 deg) of the
-    endpoints, compared as GoldenInts, limit the exact segment tests to
-    edges whose boxes meet.
+    An exact sweep in x on the integer keys (``_golden_keys``) of 2*Re and
+    Im/sin(36 deg): in the stable order of the edges' least x, each edge is
+    paired with the later ones whose boxes meet its own, and the pair named
+    is the meeting pair with the least later edge, then the least earlier.
+    Two edges meet when they cross properly, or when an end of one lies on
+    the other's line strictly between its ends in x (in y if it is upright).
     """
-    boxes = []
-    for (p, q), i in zip(boundary, owners):
-        p, q = points[p], points[q]
-        x0, x1 = sorted((p.real2(), q.real2()))
-        y0, y1 = sorted((p.imag_by_sin36(), q.imag_by_sin36()))
-        boxes.append((x0, x1, y0, y1, p, q, i))
-    boxes.sort(key=lambda box: box[0])
-    active: list[tuple] = []
-    for box in boxes:
-        x0, _, y0, y1, p, q, i = box
-        active = [other for other in active if other[1] >= x0]
-        for _, _, oy0, oy1, r, s, j in active:
-            if oy1 >= y0 and y1 >= oy0 and _segments_meet(p, q, r, s):
-                return (f"boundary edges {r}-{s} and {p}-{q} meet away from a "
-                        f"shared vertex: triangles {j} and {i} overlap")
-        active.append(box)
-    return None
+    import numpy as np
 
+    coords = points.coords[boundary]  # (B, 2, 4)
+    z0, z1, z2, z3 = np.moveaxis(coords, 2, 0)
+    x, y = _golden_keys(2 * z0 - z1, z1 - z2 - z3), _golden_keys(z2 - z3, z1)
+    order = np.argsort(x.min(axis=1), kind="stable")
+    x0, x1 = x.min(axis=1)[order], x.max(axis=1)[order]
+    y0, y1 = y.min(axis=1)[order], y.max(axis=1)[order]
+    # each edge against the later ones whose least x is at most its greatest
+    count = np.searchsorted(x0, x1, side="right") - np.arange(len(x0)) - 1
+    early = np.repeat(np.arange(len(x0)), count)
+    late = early + 1 + np.arange(len(early)) - (np.cumsum(count) - count)[early]
+    near = (y1[early] >= y0[late]) & (y1[late] >= y0[early])
+    early, late = early[near], late[near]
+    # the ends r, s of each earlier edge and p, q of each later one
+    r, s, p, q = ((coords[e, k], x[e, k], y[e, k])
+                  for e in (order[early], order[late]) for k in (0, 1))
 
-def _segments_meet(p: CycloPoint, q: CycloPoint, r: CycloPoint, s: CycloPoint) -> bool:
-    """Do the distinct edges pq and rs meet anywhere but one shared
-    endpoint, or overlap along it?  Exact."""
-    if r in (p, q) or s in (p, q):
-        v = r if r in (p, q) else s
-        a = q if p == v else p
-        b = s if r == v else r
-        return _point_on_open_segment(a, v, b) or _point_on_open_segment(b, v, a)
-    d, e = q - p, s - r
-    if (cross_sign(d, r - p) * cross_sign(d, s - p) < 0
-            and cross_sign(e, p - r) * cross_sign(e, q - r) < 0):
-        return True
-    return (_point_on_open_segment(r, p, q) or _point_on_open_segment(s, p, q)
-            or _point_on_open_segment(p, r, s) or _point_on_open_segment(q, r, s))
+    def side(a, b, c) -> np.ndarray:  # the sign of (b - a) x (c - a)
+        return _golden_signs(*cross_ab((b[0] - a[0]).T, (c[0] - a[0]).T))
+
+    def inside(a, b, c, sign: np.ndarray) -> np.ndarray:  # c strictly inside ab
+        upright = a[1] == b[1]
+        lo, hi, at = (np.where(upright, end[2], end[1]) for end in (a, b, c))
+        return (sign == 0) & (((lo < at) & (at < hi)) | ((hi < at) & (at < lo)))
+
+    sr, ss, sp, sq = side(p, q, r), side(p, q, s), side(r, s, p), side(r, s, q)
+    meet = (((sr * ss < 0) & (sp * sq < 0)) | inside(p, q, r, sr) | inside(p, q, s, ss)
+            | inside(r, s, p, sp) | inside(r, s, q, sq))
+    if not meet.any():
+        return None
+    first = np.flatnonzero(meet)[np.lexsort((early[meet], late[meet]))[0]]
+    e, f = order[early[first]], order[late[first]]
+    r, s, p, q = (points[int(boundary[g, k])] for g in (e, f) for k in (0, 1))
+    return (f"boundary edges {r}-{s} and {p}-{q} meet away from a shared vertex: "
+            f"triangles {owners[e]} and {owners[f]} overlap")

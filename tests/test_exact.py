@@ -13,11 +13,11 @@ from fivefold.exact import (
     TAU_C,
     CycloPoint,
     GoldenInt,
+    _golden_keys,
     _golden_signs,
     _times,
     cross_ab,
     cross_sign,
-    dot2,
     golden_sign,
     int_lin_independent,
     sq_norm_ab,
@@ -211,7 +211,7 @@ class TestCyclo:
         cr = ux * vy - uy * vx
         if abs(cr) > 1e-6:
             assert cross_sign(u, v) == (1 if cr > 0 else -1)
-        d = dot2(u, v).embed()
+        d = (u.conj() * v).real2().embed()  # twice the dot product
         assert d == pytest.approx(2 * (ux * vx + uy * vy), rel=1e-9, abs=1e-6)
 
 
@@ -347,3 +347,76 @@ class TestArrayArithmetic:
     def test_golden_signs(self, pairs):
         a, b = np.array(pairs, dtype=np.int64).T
         assert _golden_signs(a, b).tolist() == [golden_sign(x, y) for x, y in pairs]
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@st.composite
+def golden_pair_pairs(draw):
+    """Two (a, b) pairs: any two, or two whose values a + b*tau differ by
+    -1, 0 or 1 times (1 - tau)^n = F(n+1) - F(n)*tau, as little as tau^-110.
+    The bounds put keys about their switch from int64 to Python ints, or
+    far past it."""
+    bound = draw(st.sampled_from([2 ** 18, 2 ** 19 - 1, 2 ** 19, 2 ** 20, 2 ** 80]))
+    coefficient = st.integers(-bound, bound)
+    x = draw(st.tuples(coefficient, coefficient))
+    if draw(st.booleans()):
+        return x, draw(st.tuples(coefficient, coefficient))
+    n, sign = draw(st.integers(0, 110)), draw(st.sampled_from([-1, 0, 1]))
+    return x, (x[0] + sign * fibonacci(n + 1), x[1] - sign * fibonacci(n))
+
+
+class TestGoldenKeys:
+    """The exact keys against golden_sign, value by value."""
+
+    @given(golden_pair_pairs())
+    def test_keys_order_like_golden_sign(self, pairs):
+        (a0, b0), (a1, b1) = pairs
+        a, b = as_array(pairs).T
+        keys = _golden_keys(a, b)
+        reach = max(abs(v) for v in (a0, b0, a1, b1))
+        assert (keys.dtype == np.int64) == (3 * max(1, reach).bit_length() + 5 <= 62)
+        k0, k1 = keys.tolist()
+        assert (k0 > k1) - (k0 < k1) == golden_sign(a0 - a1, b0 - b1)
+        assert (k0 == k1) == (pairs[0] == pairs[1])
+
+    @given(st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=12))
+    def test_keys_sort_like_golden_ints(self, pairs):
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        order = np.argsort(_golden_keys(a, b), kind="stable").tolist()
+        assert [pairs[i] for i in order] == [
+            (x.a, x.b) for x in sorted(GoldenInt(*p) for p in pairs)]
+
+
+class TestMixedOperands:
+    """GoldenInt takes integers and defers to the other operand for the rest."""
+
+    def test_integers(self):
+        assert TAU + 2 == 2 + TAU == GoldenInt(2, 1)
+        assert TAU * np.int64(3) == np.int64(3) * TAU == GoldenInt(0, 3)
+        assert 1 - TAU == GoldenInt(1, -1)
+        assert TAU > np.int8(1) and TAU < 2
+
+    def test_a_point_times_tau_is_its_product(self):
+        p = CycloPoint(1, 2, -3, 4)
+        assert TAU * p == p * TAU == p * TAU_C
+
+    @pytest.mark.parametrize("op", [
+        lambda: TAU + 0.5,
+        lambda: 0.5 + TAU,
+        lambda: TAU * 1.5,
+        lambda: TAU - 0.5,
+        lambda: TAU < 0.5,
+        lambda: TAU + ONE,
+        lambda: ONE + TAU,
+        lambda: ONE - TAU,
+    ], ids=["add-float", "radd-float", "mul-float", "sub-float", "lt-float",
+            "add-point", "point-add", "point-sub"])
+    def test_anything_else_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op()

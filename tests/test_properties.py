@@ -1,7 +1,8 @@
 """Property tests: the exact patch validator against an exact brute force,
 the reader's triangle shape check against ``check_triangle``, the .qtile
-reader's canonical form under token-level mutations, and the array
-symmetry order against a frozenset reference."""
+reader's canonical form under token-level mutations, the array
+symmetry order against a frozenset reference, and the scan's nearest point
+against a scalar scan."""
 
 from dataclasses import replace
 
@@ -19,8 +20,19 @@ from fivefold.document import (
     tiling_to_document,
     write_tiling,
 )
-from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, cross_sign, dot2
+from fivefold.exact import (
+    EPS,
+    EPS1,
+    ONE,
+    TAU_C,
+    ZERO,
+    CycloPoint,
+    cross_sign,
+    golden_sign,
+    sq_norm_ab,
+)
 from fivefold.grouping import glue_rhombs, templates
+from fivefold.projection import _nearest, lattice_to_cyclo
 from fivefold.triangles import (
     _INT64_BOUND,
     Patch,
@@ -60,8 +72,9 @@ def _separated(s, t) -> bool:
 
 
 def _inside_edge(v: CycloPoint, p: CycloPoint, q: CycloPoint) -> bool:
-    return (cross_sign(q - p, v - p) == 0 and dot2(v - p, q - p).sign() > 0
-            and dot2(v - q, p - q).sign() > 0)
+    # (conj(u) * w).real2() is twice the dot product of u and w
+    return (cross_sign(q - p, v - p) == 0 and ((v - p).conj() * (q - p)).real2().sign() > 0
+            and ((v - q).conj() * (p - q)).real2().sign() > 0)
 
 
 def brute_force_embedded(patch: Patch) -> bool:
@@ -341,3 +354,38 @@ def test_symmetry_order_of_the_empty_set_is_ten():
     assert symmetry_order([]) == 10
     assert symmetry_order([], TAU_C) == 10
     assert _symmetry_order(np.empty((0, 4), dtype=np.int64)) == 10
+
+
+# ------------------------------------------------------------ nearest point
+
+
+def _reference_nearest(rows: list) -> int:
+    """The index of the row nearest the origin: a scan of the rows in
+    lexicographic order that moves on only to a strictly nearer row, by
+    golden_sign of the difference of the exact |c|^2."""
+    best = None
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        norm = sq_norm_ab(lattice_to_cyclo(rows[i]).coords())
+        if best is None or golden_sign(norm[0] - best[1][0], norm[1] - best[1][1]) < 0:
+            best = i, norm
+    return best[0]
+
+
+@st.composite
+def lattice_rows(draw):
+    """Rows of Z^5 up to 3 or 10^6 in each coordinate, with some rows
+    cycled: a cyclic shift of a row turns its point by 72 degrees, so it
+    ties with it exactly."""
+    bound = draw(st.sampled_from([3, 10 ** 6]))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=5, max_size=5),
+                         min_size=1, max_size=30))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=5)):
+        k = draw(st.integers(1, 4))
+        rows.append(row[k:] + row[:k])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_rows())
+def test_nearest_matches_a_scalar_scan(rows):
+    assert _nearest(np.array(rows, dtype=np.int64)) == _reference_nearest(rows)

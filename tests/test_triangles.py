@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from fivefold.document import document_to_patch, patch_to_document, read_tiling, write_tiling
 from fivefold.exact import EPS, EPS1, ONE, TAU_C, ZERO, CycloPoint, GoldenInt, cross_sign
 from fivefold.triangles import (
     Patch,
@@ -321,3 +324,118 @@ class TestValidatePatch:
 
     def test_empty_patch_ok(self):
         assert validate_patch(Patch(())).ok
+
+
+# ------------------------------------------------ condition 8, pinned
+
+INV_TAU = TAU_C - ONE
+HUGE = CycloPoint(10 ** 30, -(10 ** 30) + 7, 3, 10 ** 30 + 1)
+
+
+def copy_beside(f):
+    """The canonical acute triangle and its image under the point map f."""
+    t = canonical_acute()
+    return Patch((t, t.transform(f)))
+
+
+def vertex_inside_an_edge():
+    kids = deflate_triangle(canonical_acute())
+    mirror = Triangle.make(TriangleKind.ACUTE, ZERO, TAU_C, (TAU_C * EPS1).conj())
+    return Patch(tuple(kids) + (mirror,))
+
+
+OVERLAPS = {
+    "crossing": lambda: copy_beside(lambda p: p * EPS1 + ONE - EPS),
+    "collinear": lambda: copy_beside(lambda p: p.conj() + ONE),
+    "fold-back": lambda: copy_beside(lambda p: p.conj() * INV_TAU),
+    "inside": vertex_inside_an_edge,
+    "touch": lambda: copy_beside(lambda p: -p),  # one shared vertex: no overlap
+}
+
+# The problems of each patch, with every point named in the frame of the
+# patch as built; the cases below name other points than these.
+PINNED_PROBLEMS = {
+    "crossing": (
+        "boundary edges form 2 cycles: not a disk",
+        "boundary edges (0,0,0,0)-(0,0,-1,-1) and (2,0,1,0)-(1,-1,0,0) meet away "
+        "from a shared vertex: triangles 0 and 1 overlap"),
+    "collinear": (
+        "boundary edges form 2 cycles: not a disk",
+        "boundary edges (0,0,0,0)-(0,0,-1,-1) and (1,0,0,0)-(1,-1,-1,-1) meet away "
+        "from a shared vertex: triangles 0 and 1 overlap"),
+    "fold-back": (
+        "boundary vertex (0,0,0,0) has 4 boundary edges: not a disk",
+        "boundary edges (0,0,0,0)-(0,0,-1,-1) and (1,0,0,0)-(0,0,0,0) meet away "
+        "from a shared vertex: triangles 0 and 1 overlap"),
+    "inside": (
+        "boundary vertex (0,0,-1,-1) has 4 boundary edges: not a disk",
+        "boundary edges (0,0,0,0)-(1,0,0,0) and (0,0,-1,-1)-(0,0,0,0) meet away "
+        "from a shared vertex: triangles 1 and 2 overlap"),
+    "touch": ("boundary vertex (0,0,0,0) has 4 boundary edges: not a disk",),
+}
+PINNED_ELSEWHERE = {
+    # the vertices are numbered in another order at this scale
+    ("inside", "tau1500"): (
+        "boundary vertex (0,0,0,0) has 4 boundary edges: not a disk",
+        PINNED_PROBLEMS["inside"][1]),
+    # turned by 72 degrees, so the sweep meets another pair first
+    ("crossing", "scaled"): (
+        "boundary edges form 2 cycles: not a disk",
+        "boundary edges (0,0,-1,-1)-(1,1,0,0) and (2,0,0,0)-(2,0,1,0) meet away "
+        "from a shared vertex: triangles 0 and 1 overlap"),
+}
+
+# Each case as (the patch from the one built, the point map back), beyond
+# the float range ("tau1500") or at a tiny scale with huge coordinates
+# ("scaled": there a float bounding box misses the overlap).
+WHERE = {
+    "as-is": (lambda patch: patch, lambda p: p),
+    "huge": (lambda patch: moved(patch, lambda p: p + HUGE), lambda p: p - HUGE),
+    "tau1500": (lambda patch: homothety_rotation(patch, 1500, 0),
+                lambda p: p * INV_TAU ** 1500),
+}
+SCALED = {"collinear": 38, "crossing": 98}  # scaled by INV_TAU ** k * EPS1 ** 2
+
+
+def moved(patch, f):
+    return Patch(tuple(t.transform(f) for t in patch.triangles))
+
+
+def in_frame(problems, back):
+    """The problems with each point p named as back(p)."""
+    return tuple(re.sub(r"\((-?\d+),(-?\d+),(-?\d+),(-?\d+)\)",
+                        lambda m: str(back(CycloPoint(*map(int, m.groups())))), problem)
+                 for problem in problems)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("case", OVERLAPS)
+def test_condition_8_is_pinned(case, where):
+    build, back = WHERE[where]
+    patch = build(OVERLAPS[case]())
+    assert (patch.coords.dtype == object) == (where != "as-is")
+    assert in_frame(validate_patch(patch).problems, back) == PINNED_ELSEWHERE.get(
+        (case, where), PINNED_PROBLEMS[case])
+
+
+@pytest.mark.parametrize("case", SCALED)
+def test_condition_8_is_pinned_at_a_tiny_scale(case):
+    k = SCALED[case]
+    patch = moved(OVERLAPS[case](), lambda p: p * INV_TAU ** k * EPS1 ** 2)
+    back = TAU_C ** k * EPS1 ** 8
+    assert in_frame(validate_patch(patch).problems, lambda p: p * back) == (
+        PINNED_ELSEWHERE.get((case, "scaled"), PINNED_PROBLEMS[case]))
+
+
+def test_validating_a_read_patch_builds_no_points(monkeypatch):
+    data = write_tiling(patch_to_document(deflate_patch(seed_sun(), 7)))
+    patch = document_to_patch(read_tiling(data))
+    built = []
+    for cls in (CycloPoint, GoldenInt):
+        def counting(self, *args, init=cls.__init__, cls=cls):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert validate_patch(patch).ok
+    assert built == []
