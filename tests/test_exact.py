@@ -385,13 +385,6 @@ class TestGoldenKeys:
         assert (k0 > k1) - (k0 < k1) == golden_sign(a0 - a1, b0 - b1)
         assert (k0 == k1) == (pairs[0] == pairs[1])
 
-    @given(st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=12))
-    def test_keys_sort_like_golden_ints(self, pairs):
-        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        order = np.argsort(_golden_keys(a, b), kind="stable").tolist()
-        assert [pairs[i] for i in order] == [
-            (x.a, x.b) for x in sorted(GoldenInt(*p) for p in pairs)]
-
 
 class TestMixedOperands:
     """GoldenInt takes integers and defers to the other operand for the rest."""
