@@ -11,6 +11,12 @@ the line.
 The reader also accepts only canonical spellings: it parses each counted
 block in one pass, then compares its input with the writer's output for
 the values read, so write(read(data)) == data for every document it accepts.
+The pass is one ``np.fromstring`` call into int64 arrays, after the kind
+names are replaced by integer tokens; a block whose text the writer does
+not give back for those arrays (a spelling such as ``+2``, ``05`` or a
+tab, a value beyond int64, an unknown name) is parsed again as Python
+tokens, and its lines are walked to name a fault.  Either parse accepts
+the same files with the same values and messages.
 When a file has several faults, the structural ones (a count, a token
 count, an integer, a projection value) are reported before a
 non-canonical spelling.
@@ -25,7 +31,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import FORMAT_VERSION
-from .grouping import CompositeKind, CompositeTiling, _grouped, _ints
+from .grouping import CompositeKind, CompositeTiling, _grouped, _ints, _slotted
 from .triangles import Patch, _coord_array, _shape_problem, _shape_rule
 
 if TYPE_CHECKING:  # numpy is imported at first use
@@ -156,9 +162,7 @@ class TilingDocument:
         """The vertex, triangle and group lines of the text, each block as
         one string."""
         points, table = self._arrays
-        rows = table.ravel().tolist()
-        rows[0::6] = map(_KIND_NAMES.__getitem__, rows[0::6])
-        return (_block(_VERTEX, points.ravel().tolist()), _block(_TRIANGLE, rows),
+        return (_rows_text(_VERTEX, points), _rows_text(_TRIANGLE, table),
                 "" if self._group_arrays is None else _group_lines(self._group_arrays))
 
     def validate(self) -> None:
@@ -265,22 +269,11 @@ class TilingDocument:
         return None
 
 
-_DOC_TRIANGLE_SLOTS = tuple(getattr(DocTriangle, name).__set__
-                            for name in DocTriangle.__slots__)
-
-
 def _doc_triangles(kinds: Iterable[str], table: np.ndarray) -> tuple[DocTriangle, ...]:
-    """The triangle rows as DocTriangles of the given kind names.
-
-    The objects are filled one field at a time through their slots rather
-    than by DocTriangle's __init__, which, frozen, sets each field through
-    object.__setattr__ and takes about twice as long."""
+    """The triangle rows as DocTriangles of the given kind names."""
     _, apex, base0, base1, chirality, parent = table.T.tolist()
-    out = tuple(map(object.__new__, repeat(DocTriangle, len(apex))))
-    for put, column in zip(_DOC_TRIANGLE_SLOTS, (
-            kinds, apex, base0, base1, chirality, [None if p == -1 else p for p in parent])):
-        any(map(put, out, column))  # each put returns None
-    return out
+    return _slotted(DocTriangle, len(apex), (kinds, apex, base0, base1, chirality,
+                                             [None if p == -1 else p for p in parent]))
 
 
 def _structure_problem(t: DocTriangle, n_vertices: int, n_triangles: int) -> str | None:
@@ -347,12 +340,54 @@ def _block(line: str, values: list) -> str:
     return "\n".join([line] * (len(values) // line.count("%"))) % tuple(values)
 
 
+def _rows_text(line: str, rows: np.ndarray) -> str:
+    """``_block`` of an array of vertex or triangle rows, a triangle's kind
+    code written as its name."""
+    values = rows.ravel().tolist()
+    if line is _TRIANGLE:
+        values[0::6] = map(_KIND_NAMES.__getitem__, values[0::6])
+    return _block(line, values)
+
+
 def _group_lines(groups: tuple) -> str:
     """The group lines of group arrays (see TilingDocument)."""
     kinds, offsets, members = groups
     at, members = offsets.tolist(), list(map(str, members.tolist()))
     return "\n".join([kind + " " + " ".join(members[a:b])
                       for kind, a, b in zip(kinds, at, at[1:])])
+
+
+# a counted block's names as integer tokens for numpy: a triangle's kind as
+# its code, a group's kind as a negative number that marks where it starts
+_GROUP_NAMES = tuple(k.value for k in CompositeKind)
+_NAME_TOKENS = {_VERTEX: (), _TRIANGLE: tuple(zip(_KIND_NAMES, "01")),
+                None: tuple((name, str(-1 - code)) for code, name in enumerate(_GROUP_NAMES))}
+
+
+def _array_block(text: str, n: int, template: str | None):
+    """The values of a counted block of n lines, parsed in one numpy call:
+    the int64 rows of a vertex or triangle block (kind codes for names), or
+    a group block's arrays.  None unless the writer's text for those values
+    is ``text``, which is so only for a canonical block within int64."""
+    import numpy as np
+
+    tokens = text
+    for name, token in _NAME_TOKENS[template]:
+        tokens = tokens.replace(name, token)
+    try:
+        values = np.fromstring(tokens, dtype=np.int64, sep=" ")
+        if template is None:
+            start = np.flatnonzero(values < 0)
+            if len(start) != n or (n and start[0]) or (values[start] < -len(_GROUP_NAMES)).any():
+                return None
+            values = (tuple(map(_GROUP_NAMES.__getitem__, (-1 - values[start]).tolist())),
+                      np.append(start - np.arange(n), len(values) - n),
+                      np.delete(values, start))
+            return values if _group_lines(values) == text else None
+        rows = values.reshape(n, template.count("%"))
+        return rows if _rows_text(template, rows) == text else None
+    except (ValueError, IndexError):  # no integer, another size, no kind code
+        return None
 
 
 def _parse_rows(lines: list[str], width: int, ints_from: int) -> list:
@@ -402,15 +437,23 @@ class _Reader:
     def block(self, n: int, template: str | None, malformed: str):
         """The values of the next n lines and the writer's text for them.
         Each line is of the %-template ``template``, or a group line if it
-        is None.  The block is parsed in one pass; only when that text
-        differs from the input are its lines walked one at a time, to name
-        the first malformed one: one with another token count, or with a
-        token after the leading names ("%s") that is no integer."""
+        is None.  numpy parses the block first (``_array_block``): its int64
+        rows, or group arrays, are kept if the writer gives the input for
+        them.  Otherwise the block is split into tokens in one pass, a list
+        with a triangle's kind by name, and when that text too differs from
+        the input its lines are walked one at a time, to name the first
+        malformed one: one with another token count, or with a token after
+        the leading names ("%s") that is no integer."""
         width, ints_from = ((template.count("%"), template.count("%s")) if template
                             else (0, 1))
         start = self.pos
         lines = self.lines[start:start + n]
         self.pos += len(lines)
+        given = "\n".join(lines)
+        if len(lines) == n:
+            values = _array_block(given, n, template)
+            if values is not None:
+                return values, given
         values = text = None
         try:
             if len(lines) == n and template:
@@ -422,7 +465,7 @@ class _Reader:
                 text = _group_lines(values)
         except (ValueError, IndexError):
             pass
-        if text != "\n".join(lines):
+        if text != given:
             for self.pos, line in enumerate(lines, start + 1):
                 parts = line.split()
                 if len(parts) != width if width else not parts:
@@ -455,16 +498,18 @@ def read_tiling(data: bytes) -> TilingDocument:
     coords, vertex_lines = r.block(r.count(r.next(), "vertices"), _VERTEX,
                                    "vertex must have 4 integer coordinates")
     points = _coord_array(coords).reshape(-1, 4)
-    rows, triangle_lines = r.block(
+    table, triangle_lines = r.block(
         r.count(r.next(), "triangles"), _TRIANGLE,
         "triangle must be 'kind apex base0 base1 chirality parent'")
-    kinds = rows[0::6]
-    rows[0::6] = map(_KIND_CODES.get, kinds, repeat(-1))
-    table = _ints(rows).reshape(-1, 6)
-    # an unknown kind's name is kept for validation to report
-    known = {} if _KIND_CODES.keys() >= set(kinds) else {
-        "triangles": _doc_triangles(kinds, table)}
-    del coords, rows, kinds  # the block's Python ints, now in arrays
+    known = {}
+    if isinstance(table, list):  # split into tokens: a kind by its name
+        kinds = table[0::6]
+        table[0::6] = map(_KIND_CODES.get, kinds, repeat(-1))
+        table = _ints(table).reshape(-1, 6)
+        if not _KIND_CODES.keys() >= set(kinds):  # kept for validation to report
+            known["triangles"] = _doc_triangles(kinds, table)
+        del kinds
+    del coords  # the block's Python ints, if any, now in arrays
 
     groups, group_lines = None, ""
     projection = None

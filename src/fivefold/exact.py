@@ -153,6 +153,14 @@ class GoldenInt:
         return golden_sign(self.a, self.b)
 
     @_ring_operator
+    def __eq__(self, o: "GoldenInt | int") -> bool:
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self) -> int:
+        # an integer and the GoldenInt equal to it hash alike
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    @_ring_operator
     def __lt__(self, o: "GoldenInt | int") -> bool:
         return (self - o).sign() < 0
 
@@ -301,7 +309,9 @@ ROT36 = (
 _CONJ = ((1, 0, 0, 0), (-1, -1, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
-@lru_cache(maxsize=8)
+# room for every factor of one deflate -> group -> render pipeline (1/tau, the
+# ten turns by 36 degrees, a template scale, the overlay: 13) and then some
+@lru_cache(maxsize=32)
 def _matrix(factor: CycloPoint) -> tuple[tuple[int, ...], ...]:
     """The 4x4 integer matrix of multiplication by factor: row j is
     eps^j * factor, so z * factor = z @ matrix."""

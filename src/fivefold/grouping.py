@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import (_CONJ, EPS, ONE, PHI, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, _matrix,
@@ -362,8 +362,8 @@ class CompositeTiling:
             raise AttributeError(name)
         kinds, offsets, members = self._group_arrays
         at, members = offsets.tolist(), members.tolist()
-        groups = tuple(map(Group, map(_BY_NAME.__getitem__, kinds), (
-            tuple(members[a:b]) for a, b in zip(at, at[1:])), self._isometries))
+        groups = _slotted(Group, len(kinds), (map(_BY_NAME.__getitem__, kinds), map(
+            tuple, map(members.__getitem__, map(slice, at, at[1:]))), self._isometries))
         self.__dict__["groups"] = groups
         return groups
 
@@ -381,6 +381,19 @@ class CompositeTiling:
             return 0.0
         singles = sum(count_tiles(self).get(kind, 0) for kind in SINGLETON_KINDS)
         return (len(self._group_arrays[2]) - singles) / len(self.patch)
+
+
+def _slotted(cls: type, n: int, columns: Sequence[Iterable]) -> tuple:
+    """n objects of the slotted dataclass cls, filled from the columns of
+    their fields in field order.
+
+    Each object is filled one field at a time through its slots rather
+    than by the dataclass __init__, which, frozen, sets each field through
+    object.__setattr__ and takes about twice as long."""
+    out = tuple(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns):
+        any(map(getattr(cls, name).__set__, out, column))  # each returns None
+    return out
 
 
 def _ints(values) -> np.ndarray:

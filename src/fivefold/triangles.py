@@ -682,11 +682,21 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[
     """The closed walks over directed edges in which each vertex of a group
     has as many exits as entries, as (group, vertex list) pairs by group.
     A walk stays in its group, starts at the group's smallest vertex with
-    an unused exit and leaves every vertex by its smallest unused exit."""
+    an unused exit and leaves every vertex by its smallest unused exit.
+
+    In a group where every vertex has one exit, the walks are the cycles of
+    the map from each exit to the next one, found on arrays: each exit is
+    labelled by the least exit of its cycle and counts its steps to the
+    cycle's end, both by pointer doubling, and one sort lays the cycles
+    out by label, each from its least exit.  A group with a vertex of
+    several exits is walked one exit at a time."""
     import numpy as np
 
-    exits = np.lexsort((head, tail, group))
-    g, t, n = group[exits], tail[exits], len(exits)
+    n = len(tail)
+    v = int(max(tail.max(initial=0), head.max(initial=0))) + 1
+    dtype = np.int64 if (int(group.max(initial=0)) + 1) * v * v < 2 ** 63 else object
+    exits = np.argsort((group.astype(dtype) * v + tail) * v + head, kind="stable")
+    g, t = group[exits], tail[exits]
     # a vertex of a group is named by the position p of its first exit:
     # at[p] is its next unused exit and each later exit q keeps at[q] = p,
     # so at[at[p]] == p while p has one (never at q: p has none by then)
@@ -694,17 +704,39 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[
     at = np.maximum.accumulate(np.where(first, np.arange(n), 0))
     # entries sorted by (group, head) meet exits sorted by (group, tail)
     into = np.empty(n, np.int64)
-    into[np.lexsort((head, group))] = at
-    into, t, at = into[exits].tolist(), t.tolist(), [*at.tolist(), None]
-    loops = []
-    for start in range(n):
-        while at[at[start]] == start:
-            loop, p = [], start
-            while p != start or not loop:
-                loop.append(t[p])
-                at[p] = k = at[p] + 1
-                p = into[k - 1]
-            loops.append((int(g[start]), loop))
+    into[np.argsort(group.astype(dtype) * v + head, kind="stable")] = at
+    into = into[exits]
+    walked = np.isin(g, g[~first])
+    step = np.where(walked, np.arange(n), into)  # a walked exit stays put
+    label, jump = np.arange(n), step
+    while True:  # label[p]: the least of the 2^k exits from p on
+        least = np.minimum(label, label[jump])
+        if (least == label).all():  # then also the least of the whole cycle
+            break
+        label, jump = least, jump[jump]
+    # steps to the cycle's end, the exit before its least one (sentinel n)
+    jump = np.append(np.where(step == label, n, step), n)
+    left = np.append(step != label, False).astype(np.int64)
+    while (jump[:n] < n).any():
+        left, jump = left + left[jump], jump[jump]
+    order = np.flatnonzero(~walked)
+    order = order[np.argsort(label[order] * n - left[order])]
+    cut = np.flatnonzero(np.diff(label[order], prepend=-1, append=n)).tolist()
+    starts, vertices = order[cut[:-1]], t[order].tolist()
+    loops = list(zip(g[starts].tolist(), map(vertices.__getitem__, map(slice, cut, cut[1:]))))
+    if walked.any():  # walked in order of their starts, then merged by start
+        starts, g = starts.tolist(), g.tolist()
+        into, t, at = into.tolist(), t.tolist(), [*at.tolist(), None]
+        for start in np.flatnonzero(walked).tolist():
+            while at[at[start]] == start:
+                loop, p = [], start
+                while p != start or not loop:
+                    loop.append(t[p])
+                    at[p] = k = at[p] + 1
+                    p = into[k - 1]
+                starts.append(start)
+                loops.append((g[start], loop))
+        loops = [loops[k] for k in sorted(range(len(loops)), key=starts.__getitem__)]
     return loops
 
 

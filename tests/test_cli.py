@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fivefold
-from fivefold import cli, document, triangles
+from fivefold import cli, document, grouping, triangles
 from fivefold.cli import main
 from fivefold.document import (
     TilingDocument,
@@ -436,6 +436,13 @@ class TestGroupFromArrays:
         init, verify, write = Group.__init__, cli.verify_grouping, cli.write_tiling
         monkeypatch.setattr(Group, "__init__",
                             lambda self, *args: built.append(args) or init(self, *args))
+
+        def slotted(cls, n, columns, fill=grouping._slotted):
+            # the Group view fills its objects through their slots, not __init__
+            built.extend([cls] * n if cls is Group else [])
+            return fill(cls, n, columns)
+
+        monkeypatch.setattr(grouping, "_slotted", slotted)
         monkeypatch.setattr(cli, "verify_grouping", lambda t: tilings.append(t) or verify(t))
         monkeypatch.setattr(cli, "write_tiling", lambda d: docs.append(d) or write(d))
         code, _, _ = run(capsys, "group", str(plain), "--policy", policy, "--out", str(grouped))

@@ -280,6 +280,53 @@ class TestGroupedFiles:
         assert read_tiling(data).groups == ()
 
 
+class TestSpellings:
+    """Spellings that numpy parses but the writer never writes, and values
+    it cannot hold, get the outcome they had before the reader parsed
+    blocks with numpy: a set-B wheel generation 3, one line changed."""
+
+    @pytest.fixture(scope="class")
+    def wheel3(self):
+        patch, tiling = grouped_patch("wheel", 3, "setb")
+        return write_tiling(tiling_to_document(tiling)).decode()
+
+    @pytest.mark.parametrize("number,edit,message", [
+        (133, lambda t: t[:-1] + ["+2"],
+         "line 133: not in canonical form: expected 'O 32 97 88 -1 2', got 'O 32 97 88 -1 +2'"),
+        (133, lambda t: [t[0], "05", *t[2:]],
+         "line 133: not in canonical form: expected 'O 5 97 88 -1 0', got 'O 05 97 88 -1 0'"),
+        (6, lambda t: [t[0], "-0", *t[2:]],
+         "line 6: not in canonical form: expected '-3 0 -2 -2', got '-3 -0 -2 -2'"),
+        (6, lambda t: ["99999999999999999999", *t[1:]],
+         "line 7: vertices must be deduplicated and in lexicographic order"),
+        (133, lambda t: [*t[:2], "99999999999999999999", *t[3:]],
+         "line 133: triangle 0: vertex index 99999999999999999999 out of range"),
+        (133, lambda t: [t[0] + "\t" + t[1], *t[2:]],
+         "line 133: not in canonical form: expected 'O 32 97 88 -1 0', got 'O\\t32 97 88 -1 0'"),
+        (133, lambda t: [t[0], "", *t[1:]],
+         "line 133: not in canonical form: expected 'O 32 97 88 -1 0', got 'O  32 97 88 -1 0'"),
+        (133, lambda t: [*t[:-1], t[-1] + "\r"],
+         "line 133: not in canonical form: expected 'O 32 97 88 -1 0', got 'O 32 97 88 -1 0\\r'"),
+        (344, lambda t: [t[0], "-8", *t[2:]], "line 344: group 0: triangle index -8 out of range"),
+        (344, lambda t: [t[0], "-1", *t[2:]], "line 344: group 0: triangle index -1 out of range"),
+        (350, lambda t: ["ThickRhomb5", *t[1:]], "line 350: group 6: unknown kind 'ThickRhomb5'"),
+    ], ids=["plus", "leading-zero", "minus-zero", "beyond-int64-vertex", "beyond-int64-index",
+            "tab", "double-space", "carriage-return", "negative-member", "member-minus-one",
+            "kind-suffix"])
+    def test_outcome(self, wheel3, number, edit, message):
+        lines = wheel3.split("\n")
+        lines[number - 1] = " ".join(edit(lines[number - 1].split(" ")))
+        with pytest.raises(DocumentError) as e:
+            read_tiling("\n".join(lines).encode())
+        assert str(e.value) == message
+
+    def test_empty_groups_block(self):
+        data = write_tiling(patch_to_document(deflate_patch(seed_wheel(), 3), groups=()))
+        assert b"\ngroups 0\nend\n" in data
+        doc = read_tiling(data)
+        assert doc.groups == () and write_tiling(doc) == data
+
+
 class TestLineNumbers:
     """A fault inside a counted block is named with its message and line."""
 

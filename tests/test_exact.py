@@ -395,6 +395,19 @@ class TestMixedOperands:
         assert 1 - TAU == GoldenInt(1, -1)
         assert TAU > np.int8(1) and TAU < 2
 
+    @given(small_ints, small_ints)
+    def test_equality_agrees_with_order(self, a, b):
+        g = GoldenInt(a, b)
+        for n in (a, np.int64(a)):
+            assert (g == n) == (n == g) == (g <= n <= g) == (b == 0)
+            assert (g != n) == (b != 0)
+        assert (hash(g) == hash(a)) if b == 0 else (hash(g) == hash((a, b)))
+        assert {GoldenInt(a, 0): "x"}[a] == "x"
+
+    def test_equality_with_anything_else_is_not_implemented(self):
+        assert GoldenInt(1, 0).__eq__(1.0) is NotImplemented
+        assert GoldenInt(1, 0) != 1.0 and GoldenInt(0, 0) != "0"
+
     def test_a_point_times_tau_is_its_product(self):
         p = CycloPoint(1, 2, -3, 4)
         assert TAU * p == p * TAU == p * TAU_C

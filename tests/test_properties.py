@@ -1,21 +1,26 @@
 """Property tests: the exact patch validator against an exact brute force,
 the reader's triangle shape check against ``check_triangle``, the .qtile
-reader's canonical form under token-level mutations, the array
+reader's canonical form under token-level mutations, its numpy block parse
+against its token parse, the array outline loops against a walk, the array
 symmetry order against a frozenset reference, and the scan's nearest point
 against a scalar scan."""
 
+from collections import defaultdict
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fivefold import document
 from fivefold.document import (
     DocTriangle,
     DocumentError,
     ProjectionMeta,
     TilingDocument,
     _shape_problem,
+    patch_to_document,
     read_tiling,
     tiling_to_document,
     write_tiling,
@@ -31,13 +36,14 @@ from fivefold.exact import (
     golden_sign,
     sq_norm_ab,
 )
-from fivefold.grouping import glue_rhombs, templates
+from fivefold.grouping import SET_B, detect_composites, glue_rhombs, templates
 from fivefold.projection import _nearest, lattice_to_cyclo
 from fivefold.triangles import (
     _INT64_BOUND,
     Patch,
     Triangle,
     TriangleKind,
+    _loops,
     _symmetry_order,
     _topology_problem,
     check_triangle,
@@ -287,6 +293,113 @@ def test_reader_accepts_only_canonical_form(data):
     except DocumentError:
         return
     assert write_tiling(doc) == data
+
+
+# ------------------------------------------- reader: numpy against tokens
+
+SUN3 = write_tiling(patch_to_document(deflate_patch(seed_sun(), 3)))
+WHEEL3 = write_tiling(tiling_to_document(detect_composites(deflate_patch(seed_wheel(), 3),
+                                                           SET_B)))
+SPELLINGS = ["+2", "05", "-0", "99999999999999999999", "-9223372036854775809", "\t", "",
+             "  ", "\r", "-1", "-8", "2", "A", "O", "ThickRhomb", "ThickRhomb5", "Boat",
+             "PentagonBig", "Pentagram", "ObtuseTriangle"]
+
+
+def _outcome(data: bytes):
+    """What read_tiling makes of data: its arrays and text, or its message."""
+    try:
+        doc = read_tiling(data)
+    except DocumentError as e:
+        return str(e)
+    points, table = doc._arrays
+    groups = doc._group_arrays and (doc._group_arrays[0], *(
+        (a.dtype, a.tolist()) for a in doc._group_arrays[1:]))
+    return (points.dtype, points.tolist(), table.dtype, table.tolist(), groups,
+            doc.__dict__.get("triangles"), doc._blocks, write_tiling(doc))
+
+
+def _token_parse(data: bytes):
+    with mock.patch.object(document, "_array_block", lambda text, n, template: None):
+        return _outcome(data)
+
+
+@st.composite
+def mutated_files(draw):
+    lines = [line.split(" ") for line in draw(st.sampled_from([SUN3, WHEEL3])).decode()
+             .split("\n")]
+    for _ in range(draw(st.integers(1, 2))):
+        tokens = lines[draw(st.integers(4, len(lines) - 1))]
+        at = draw(st.integers(0, len(tokens) - 1))
+        token = draw(st.sampled_from(SPELLINGS) | st.text(alphabet="0123456789+- AO", max_size=3))
+        op = draw(st.sampled_from(["replace", "insert", "append", "delete"]))
+        if op == "insert":
+            tokens.insert(at, token)
+        elif op == "append":
+            tokens[at] += token
+        elif op == "delete" and len(tokens) > 1:
+            del tokens[at]
+        else:
+            tokens[at] = token
+    return "\n".join(" ".join(tokens) for tokens in lines).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_files())
+def test_numpy_parse_reads_what_the_token_parse_reads(data):
+    assert _outcome(data) == _token_parse(data)
+
+
+def test_numpy_parse_takes_every_canonical_block():
+    taken = []
+
+    def array_block(*args, parse=document._array_block):
+        values = parse(*args)
+        taken.append(values is not None)
+        return values
+
+    with mock.patch.object(document, "_array_block", array_block):
+        for data in (SUN3, WHEEL3):
+            assert write_tiling(read_tiling(data)) == data
+    assert taken == [True] * 5
+
+
+# ------------------------------------------------------------ outline loops
+
+
+def _walk(tail, head, group) -> list:
+    """``_loops`` by its definition: per group, from its smallest vertex with
+    an unused exit, leave each vertex by its smallest unused exit."""
+    exits = defaultdict(list)
+    for g, t, h in sorted(zip(group, tail, head)):
+        exits[g, t].append(h)
+    loops = []
+    for g, start in sorted(exits):
+        while exits[g, start]:
+            loop, v = [], start
+            while not loop or v != start:
+                loop.append(v)
+                v = exits[g, v].pop(0)
+            loops.append((g, loop))
+    return loops
+
+
+@st.composite
+def rims(draw):
+    """Directed cycles in random groups, shuffled: a vertex is in one cycle
+    of its group (one exit) unless two cycles of a group share it."""
+    edges = []
+    for g in draw(st.lists(st.integers(0, 50), max_size=8, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            cycle = draw(st.lists(st.integers(0, 40), min_size=2, max_size=9, unique=True))
+            edges += [(t, h, g) for t, h in zip(cycle, cycle[1:] + cycle[:1])]
+    edges = draw(st.permutations(edges))
+    return tuple(np.array([e[k] for e in edges], dtype=np.int64).reshape(-1) for k in range(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rims())
+def test_array_loops_are_the_walk(edges):
+    assert _loops(*edges) == _walk(*(column.tolist() for column in edges))
 
 
 # ------------------------------------------------------------ symmetry order
