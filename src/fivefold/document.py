@@ -378,7 +378,7 @@ def _array_block(text: str, n: int, template: str | None):
         values = np.fromstring(tokens, dtype=np.int64, sep=" ")
         if template is None:
             start = np.flatnonzero(values < 0)
-            if len(start) != n or (n and start[0]) or (values[start] < -len(_GROUP_NAMES)).any():
+            if len(start) != n:
                 return None
             values = (tuple(map(_GROUP_NAMES.__getitem__, (-1 - values[start]).tolist())),
                       np.append(start - np.arange(n), len(values) - n),
@@ -386,7 +386,7 @@ def _array_block(text: str, n: int, template: str | None):
             return values if _group_lines(values) == text else None
         rows = values.reshape(n, template.count("%"))
         return rows if _rows_text(template, rows) == text else None
-    except (ValueError, IndexError):  # no integer, another size, no kind code
+    except (ValueError, IndexError):  # no integer, another size, no such kind
         return None
 
 
