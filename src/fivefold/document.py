@@ -8,15 +8,21 @@ deduplicated vertices, each a triangle corner when there are triangles,
 in-range indices, geometry-consistent chirality, one-line ASCII header
 strings) or writing refuses, and the reader rejects violations, naming
 the line.
+The writer formats the counted blocks from int64 arrays with one array
+codec (``_fields``): each number's digits are written into uint64 words
+of ASCII bytes, padded with zero bytes that one ``bytes.translate``
+removes.  Values beyond int64 go through the %-template of ``_block``.
 The reader also accepts only canonical spellings: it parses each counted
 block in one pass, then compares its input with the writer's output for
 the values read, so write(read(data)) == data for every document it accepts.
-The pass is one ``np.fromstring`` call into int64 arrays, after the kind
-names are replaced by integer tokens; a block whose text the writer does
-not give back for those arrays (a spelling such as ``+2``, ``05`` or a
-tab, a value beyond int64, an unknown name) is parsed again as Python
-tokens, and its lines are walked to name a fault.  Either parse accepts
-the same files with the same values and messages.
+It finds its lines as the offsets of the newlines in the bytes and slices
+each block out whole.  The pass is one ``np.fromstring`` call into int64
+arrays, after the kind names are replaced by integer tokens, and the
+block's bytes are compared with the codec's bytes for those arrays.  A
+block that differs (a spelling such as ``+2``, ``05`` or a tab, a value
+beyond int64, an unknown name) is split into lines and parsed again as
+Python tokens, and its lines are walked to name a fault.  Either parse
+accepts the same files with the same values and messages.
 When a file has several faults, the structural ones (a count, a token
 count, an integer, a projection value) are reported before a
 non-canonical spelling.
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -114,10 +120,12 @@ class TilingDocument:
                      version: int = FORMAT_VERSION, unit_note: str = UNIT_NOTE,
                      seed: str = "", generation: int = 0,
                      projection: ProjectionMeta | None = None, **known) -> TilingDocument:
-        """A document given as ``_arrays``.  ``known`` gives ``groups`` or
-        ``_group_arrays``, and may give other fields and cached values
-        (``triangles``, ``_blocks``), which must be exactly what they would
-        compute."""
+        """A document given as ``_arrays``.  ``known`` may give ``groups`` or
+        ``_group_arrays`` (neither: no groups), other fields and cached
+        values (``triangles``, ``_blocks``), which must be exactly what they
+        would compute."""
+        if "_group_arrays" not in known:
+            known.setdefault("groups", None)
         doc = object.__new__(cls)
         doc.__dict__.update(version=version, unit_note=unit_note, seed=seed,
                             generation=generation, projection=projection,
@@ -158,12 +166,12 @@ class TilingDocument:
         return None if self.groups is None else _grouped(self.groups)
 
     @cached_property
-    def _blocks(self) -> tuple[str, str, str]:
+    def _blocks(self) -> tuple[bytes, bytes, bytes]:
         """The vertex, triangle and group lines of the text, each block as
         one string."""
         points, table = self._arrays
         return (_rows_text(_VERTEX, points), _rows_text(_TRIANGLE, table),
-                "" if self._group_arrays is None else _group_lines(self._group_arrays))
+                b"" if self._group_arrays is None else _group_lines(self._group_arrays))
 
     def validate(self) -> None:
         """Raise DocumentError for the first broken invariant.  A document
@@ -304,7 +312,7 @@ def _projection_problem(p: ProjectionMeta) -> str | None:
 
 def write_tiling(doc: TilingDocument) -> bytes:
     doc.validate()
-    return ("\n".join(_lines(doc)) + "\n").encode("ascii")
+    return b"\n".join(_lines(doc)) + b"\n"
 
 
 def _lines(doc: TilingDocument):
@@ -313,58 +321,200 @@ def _lines(doc: TilingDocument):
     reader's proof of canonical form."""
     points, table = doc._arrays
     vertices, triangles, groups = doc._blocks
-    yield f"qtile {doc.version}"
-    yield f"unit {doc.unit_note}"
-    yield f"seed {doc.seed}"
-    yield f"generation {doc.generation}"
-    yield f"vertices {len(points)}"
+    yield b"qtile %d" % doc.version
+    yield b"unit " + doc.unit_note.encode("ascii")
+    yield b"seed " + doc.seed.encode("ascii")
+    yield b"generation %d" % doc.generation
+    yield b"vertices %d" % len(points)
     if vertices:
         yield vertices
-    yield f"triangles {len(table)}"
+    yield b"triangles %d" % len(table)
     if triangles:
         yield triangles
     if doc._group_arrays is not None:
-        yield f"groups {len(doc._group_arrays[0])}"
+        yield b"groups %d" % len(doc._group_arrays[0])
         if groups:
             yield groups
     p = doc.projection
     if p is not None:
-        yield "projection " + " ".join(
-            [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
-             repr(p.radius), str(p.box)])
-    yield "end"
+        yield " ".join(["projection", repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
+                        repr(p.radius), str(p.box)]).encode("ascii")
+    yield b"end"
 
+
+# ------------------------------------------------------------ the text codec
+#
+# Text is built as uint64 words, eight ASCII bytes each, in which zero bytes
+# are padding: one ``bytes.translate`` drops them.  A number is a field of
+# words (``_fields``): a lead byte (its separator, or 0), then its sign and
+# digits right-aligned to the field's last byte.  The .qtile blocks and the
+# SVG coordinates are written this way; values that int64 cannot hold go
+# through ``_block``'s %-template instead.
 
 def _block(line: str, values: list) -> str:
     """Lines of the %-template ``line``, filled from values row by row."""
     return "\n".join([line] * (len(values) // line.count("%"))) % tuple(values)
 
 
-def _rows_text(line: str, rows: np.ndarray) -> str:
-    """``_block`` of an array of vertex or triangle rows, a triangle's kind
-    code written as its name."""
-    values = rows.ravel().tolist()
+@cache
+def _digit_pairs() -> np.ndarray:
+    """The two ASCII digits of 0..99, as the low 16 bits of a word."""
+    import numpy as np
+
+    return np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
+                         np.uint16).astype(np.uint64)
+
+
+def _fields(values: np.ndarray, sign=None, lead=None, least: int = 1) -> np.ndarray:
+    """Integers as text, shape ``values.shape + (m,)`` words: per value,
+    the lead byte first, then the sign byte (a character, or 0) and at
+    least ``least`` decimal digits of its magnitude, right-aligned to the
+    last byte.  ``sign`` and ``lead`` broadcast against ``values``; without
+    them those bytes are 0.  The values are written about ``_CHUNK`` at a
+    time."""
+    import numpy as np
+
+    top = max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    digits = max(len(str(top)), least)
+    m = (digits + 9) // 8  # words for the lead byte, the sign and the digits
+    pairs, (keep, sign_at) = _digit_pairs(), _digit_masks(m, digits)
+    words = np.zeros(values.shape + (m,), np.uint64)
+    sign, lead = (None if a is None else np.broadcast_to(a, values.shape) for a in (sign, lead))
+    step = max(1, _CHUNK * len(values) // max(1, values.size))  # of the first axis
+    for at in range(0, len(values), step):
+        part = slice(at, at + step)
+        out = words[part]
+        # magnitudes as uint64, exact for all of int64
+        magnitude = rest = np.abs(values[part].astype(np.int64, copy=False)).view(np.uint64)
+        for k in range(0, digits, 2):  # digits k and k + 1 share a word
+            high = rest // 100
+            out[..., m - 1 - k // 8] |= pairs.take(rest - high * 100) << np.uint64(
+                48 - 8 * (k % 8))
+            rest = high
+        count = least  # of each number's digits
+        for k in range(least, digits):
+            count = count + (magnitude >= 10 ** k)
+        out &= keep[count]
+        if sign is not None:
+            out |= sign_at[count] * sign[part][..., None].astype(np.uint64)
+        if lead is not None:
+            out[..., 0] |= lead[part].astype(np.uint64)
+    return words
+
+
+# numbers that _fields writes at once: their temporaries, 128 KB each, stay
+# in the cache, and stay below the 256 KB from which every operator on a
+# temporary makes numpy walk the C stack to see whether it may reuse it
+_CHUNK = 1 << 14
+
+
+@cache
+def _digit_masks(m: int, digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """By digit count, 0 to ``digits``, fields of m words: 255 in the bytes
+    of the digits, and 1 in the sign's byte."""
+    import numpy as np
+
+    at = np.arange(8 * m) - 8 * m + np.arange(digits + 1)[:, None]
+    return ((at >= 0) * np.uint8(255)).view(np.uint64), ((at == -1) * np.uint8(1)).view(np.uint64)
+
+
+def _spliced(heads: np.ndarray, tokens: np.ndarray, offsets: np.ndarray,
+             tails: np.ndarray | None = None) -> np.ndarray:
+    """The words of item after item: item i is ``heads[i]``, then the token
+    rows ``offsets[i]:offsets[i + 1]``, then ``tails[i]`` if given."""
+    import numpy as np
+
+    tails = heads[:, :0] if tails is None else tails
+    (p, h), (n, t), c = heads.shape, tokens.shape, tails.shape[1]
+    sizes = np.diff(offsets)
+    start = np.arange(p) * (h + c) + offsets[:-1] * t  # each item's first word
+    out = np.empty(p * (h + c) + n * t, np.uint64)
+    out[start[:, None] + np.arange(h)] = heads
+    out[(start + h + sizes * t)[:, None] + np.arange(c)] = tails
+    out[(np.repeat(start + h - offsets[:-1] * t, sizes) + np.arange(n) * t)[:, None]
+        + np.arange(t)] = tokens
+    return out
+
+
+def _ascii(words: np.ndarray) -> bytes:
+    """The text of words: their bytes without the zero bytes."""
+    return words.tobytes().translate(None, b"\0")
+
+
+def _words(text: str) -> np.ndarray:
+    """ASCII text as words, padded with zero bytes."""
+    import numpy as np
+
+    return np.frombuffer(text.encode("ascii").ljust(-(-len(text) // 8) * 8, b"\0"), np.uint64)
+
+
+def _rows_text(line: str, rows: np.ndarray) -> bytes:
+    """The lines of the %-template ``line`` (``_VERTEX`` or ``_TRIANGLE``)
+    filled from an array of rows, a triangle's kind code written as its
+    name."""
+    import numpy as np
+
+    if rows.dtype == object:  # beyond int64
+        values = rows.ravel().tolist()
+        if line is _TRIANGLE:
+            values[0::6] = map(_KIND_NAMES.__getitem__, values[0::6])
+        return _block(line, values).encode("ascii")
+    sign = (rows < 0) * np.uint8(ord("-"))
     if line is _TRIANGLE:
-        values[0::6] = map(_KIND_NAMES.__getitem__, values[0::6])
-    return _block(line, values)
+        sign[:, 4] |= (rows[:, 4] >= 0) * np.uint8(ord("+"))
+    lead = np.full(rows.shape[1], ord(" "), np.uint8)
+    lead[0] = ord("\n")
+    words = _fields(rows, sign, lead)
+    if line is _TRIANGLE:  # the kind's name as its field
+        words[:, 0] = _kind_names(words.shape[2])[rows[:, 0]]
+    return _ascii(words)[1:]
 
 
-def _group_lines(groups: tuple) -> str:
-    """The group lines of group arrays (see TilingDocument)."""
+@cache
+def _kind_names(m: int) -> np.ndarray:
+    """Each kind code's field of m words: a newline, then its name."""
+    import numpy as np
+
+    return np.array([_words(f"\n{name}".ljust(8 * m, "\0")) for name in _KIND_NAMES])
+
+
+def _group_lines(groups: tuple) -> bytes:
+    """The group lines of group arrays (see TilingDocument): each a head of
+    its kind's name, then its members."""
+    import numpy as np
+
     kinds, offsets, members = groups
-    at, members = offsets.tolist(), list(map(str, members.tolist()))
-    return "\n".join([kind + " " + " ".join(members[a:b])
-                      for kind, a, b in zip(kinds, at, at[1:])])
+    codes = np.fromiter(map(_GROUP_CODES.get, kinds, repeat(-1)), np.int64, len(kinds))
+    if members.dtype == object or (codes < 0).any():  # beyond int64, or no kind's name
+        at, members = offsets.tolist(), list(map(str, members.tolist()))
+        return "\n".join([kind + " " + " ".join(members[a:b])
+                          for kind, a, b in zip(kinds, at, at[1:])]).encode("ascii")
+    lead = np.full(len(members), ord(" "), np.uint8)
+    lead[offsets[:-1][np.diff(offsets) > 0]] = 0  # a group's first member follows its head
+    tokens = _fields(members, (members < 0) * np.uint8(ord("-")), lead)
+    return _ascii(_spliced(_group_heads()[codes], tokens, offsets))[1:]
+
+
+@cache
+def _group_heads() -> np.ndarray:
+    """Each group kind's line head, a newline, its name and a space, as
+    words of one width."""
+    import numpy as np
+
+    size = max(map(len, _GROUP_NAMES)) + 2
+    return np.array([_words(f"\n{name} ".ljust(size, "\0")) for name in _GROUP_NAMES])
 
 
 # a counted block's names as integer tokens for numpy: a triangle's kind as
 # its code, a group's kind as a negative number that marks where it starts
 _GROUP_NAMES = tuple(k.value for k in CompositeKind)
-_NAME_TOKENS = {_VERTEX: (), _TRIANGLE: tuple(zip(_KIND_NAMES, "01")),
-                None: tuple((name, str(-1 - code)) for code, name in enumerate(_GROUP_NAMES))}
+_GROUP_CODES = {name: code for code, name in enumerate(_GROUP_NAMES)}
+_NAME_TOKENS = {_VERTEX: (), _TRIANGLE: ((b"A", b"0"), (b"O", b"1")),
+                None: tuple((name.encode(), b"%d" % (-1 - code))
+                            for code, name in enumerate(_GROUP_NAMES))}
 
 
-def _array_block(text: str, n: int, template: str | None):
+def _array_block(text: bytes, n: int, template: str | None):
     """The values of a counted block of n lines, parsed in one numpy call:
     the int64 rows of a vertex or triangle block (kind codes for names), or
     a group block's arrays.  None unless the writer's text for those values
@@ -407,20 +557,38 @@ def _parse_rows(lines: list[str], width: int, ints_from: int) -> list:
 
 
 class _Reader:
+    """The lines of an ASCII document, found as the offsets of its newlines;
+    a line is made a string only when it is read alone."""
+
     def __init__(self, data: bytes):
-        try:
-            self.text = data.decode("ascii")
-        except UnicodeDecodeError as e:
-            raise DocumentError(f"not an ascii document: {e}") from None
-        self.lines = self.text.split("\n")
+        import numpy as np
+
+        if not data.isascii():
+            try:
+                data.decode("ascii")
+            except UnicodeDecodeError as e:
+                raise DocumentError(f"not an ascii document: {e}") from None
+        self.data = data
+        self.ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
         self.pos = 0
 
+    def span(self, start: int, stop: int) -> bytes:
+        """Lines start to stop (exclusive) as one string of lines."""
+        if start == stop:
+            return b""
+        ends = self.ends
+        return self.data[0 if start == 0 else int(ends[start - 1]) + 1:
+                         int(ends[stop - 1]) if stop <= len(ends) else len(self.data)]
+
     def next(self) -> str:
-        if self.pos >= len(self.lines):
+        if self.pos > len(self.ends):
             raise DocumentError(f"line {self.pos + 1}: unexpected end of file")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        return self.span(self.pos - 1, self.pos).decode("ascii")
+
+    def at_end(self) -> bool:
+        """Whether the lines read so far are all but an empty last one."""
+        return self.pos == len(self.ends) and self.data.endswith(b"\n")
 
     def fail(self, message: str):
         raise DocumentError(f"line {self.pos}: {message}")
@@ -447,19 +615,20 @@ class _Reader:
         width, ints_from = ((template.count("%"), template.count("%s")) if template
                             else (0, 1))
         start = self.pos
-        lines = self.lines[start:start + n]
-        self.pos += len(lines)
-        given = "\n".join(lines)
-        if len(lines) == n:
+        self.pos = min(start + n, len(self.ends) + 1)
+        given = self.span(start, self.pos)
+        whole = self.pos - start == n
+        if whole:
             values = _array_block(given, n, template)
             if values is not None:
                 return values, given
+        lines = given.decode("ascii").split("\n") if self.pos > start else []
         values = text = None
         try:
-            if len(lines) == n and template:
+            if whole and template:
                 values = _parse_rows(lines, width, ints_from)
-                text = _block(template, values)
-            elif len(lines) == n:
+                text = _block(template, values).encode("ascii")
+            elif whole:
                 values = _grouped([(row[0], list(map(int, row[1:])))
                                    for row in map(str.split, lines)])
                 text = _group_lines(values)
@@ -472,7 +641,7 @@ class _Reader:
                     self.fail(malformed)
                 for token in parts[ints_from:]:
                     _parse_int(self, token)
-            if len(lines) < n:
+            if not whole:
                 self.next()  # the file ends inside the block
         return values, text
 
@@ -511,7 +680,7 @@ def read_tiling(data: bytes) -> TilingDocument:
         del kinds
     del coords  # the block's Python ints, if any, now in arrays
 
-    groups, group_lines = None, ""
+    groups, group_lines = None, b""
     projection = None
     line = r.next()
     if line.startswith("groups"):
@@ -533,16 +702,17 @@ def read_tiling(data: bytes) -> TilingDocument:
         line = r.next()
     if line != "end":
         r.fail(f"expected 'end', got {line!r}")
-    if r.lines[r.pos:] != [""]:
+    if not r.at_end():
         r.fail("'end' must be the last line, ending in one newline")
 
     doc = TilingDocument._from_arrays(
         points, table, version=version, unit_note=unit_line[5:], seed=seed_line[5:],
         generation=generation, projection=projection, _group_arrays=groups,
         _blocks=(vertex_lines, triangle_lines, group_lines), **known)
-    text = "\n".join(_lines(doc)) + "\n"
-    if text != r.text:
-        for number, (expected, line) in enumerate(zip(text.split("\n"), r.lines), 1):
+    if b"\n".join(_lines(doc)) + b"\n" != data:  # the text is not kept for validation
+        text = b"\n".join(_lines(doc)).decode("ascii")
+        for number, (expected, line) in enumerate(zip(text.split("\n"),
+                                                      data.decode("ascii").split("\n")), 1):
             if line != expected:
                 raise DocumentError(f"line {number}: not in canonical form: "
                                     f"expected {expected!r}, got {line!r}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .exact import (
@@ -678,11 +679,13 @@ def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group: np.ndarray):
     return tail, head, twice, np.sort(order[~(paired | np.roll(paired, 1))])
 
 
-def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[int, list]]:
+def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray):
     """The closed walks over directed edges in which each vertex of a group
-    has as many exits as entries, as (group, vertex list) pairs by group.
-    A walk stays in its group, starts at the group's smallest vertex with
-    an unused exit and leaves every vertex by its smallest unused exit.
+    has as many exits as entries, by group, as arrays: each loop's group,
+    the L + 1 offsets at which the loops start in one flat array of their
+    vertices, and that array.  A walk stays in its group, starts at the
+    group's smallest vertex with an unused exit and leaves every vertex by
+    its smallest unused exit.
 
     In a group where every vertex has one exit, the walks are the cycles of
     the map from each exit to the next one, found on arrays: each exit is
@@ -721,11 +724,13 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[
         left, jump = left + left[jump], jump[jump]
     order = np.flatnonzero(~walked)
     order = order[np.argsort(label[order] * n - left[order])]
-    cut = np.flatnonzero(np.diff(label[order], prepend=-1, append=n)).tolist()
-    starts, vertices = order[cut[:-1]], t[order].tolist()
-    loops = list(zip(g[starts].tolist(), map(vertices.__getitem__, map(slice, cut, cut[1:]))))
+    offsets = np.flatnonzero(np.diff(label[order], prepend=-1, append=n))
+    starts = order[offsets[:-1]]
+    groups, vertices = g[starts], t[order]
     if walked.any():  # walked in order of their starts, then merged by start
-        starts, g = starts.tolist(), g.tolist()
+        cut, vertices = offsets.tolist(), vertices.tolist()
+        loops = [vertices[a:b] for a, b in zip(cut, cut[1:])]
+        starts, groups, g = starts.tolist(), groups.tolist(), g.tolist()
         into, t, at = into.tolist(), t.tolist(), [*at.tolist(), None]
         for start in np.flatnonzero(walked).tolist():
             while at[at[start]] == start:
@@ -735,9 +740,14 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray) -> list[tuple[
                     at[p] = k = at[p] + 1
                     p = into[k - 1]
                 starts.append(start)
-                loops.append((g[start], loop))
-        loops = [loops[k] for k in sorted(range(len(loops)), key=starts.__getitem__)]
-    return loops
+                groups.append(g[start])
+                loops.append(loop)
+        by_start = sorted(range(len(loops)), key=starts.__getitem__)
+        groups = np.array(groups, np.int64)[by_start]
+        loops = [loops[k] for k in by_start]
+        offsets = np.array([0, *accumulate(map(len, loops))], np.int64)
+        vertices = np.array(list(chain.from_iterable(loops)), np.int64)
+    return groups, offsets, vertices
 
 
 def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> str | None:
@@ -765,7 +775,7 @@ def _topology_problem(points, angle, boundary, n_edges: int, n_faces: int) -> st
         v = int(np.argmax(bad))
         return f"boundary vertex {points[v]} has {degree[v]} boundary edges"
     # each boundary vertex now has one exit and one entry
-    cycles = len(_loops(boundary[:, 0], boundary[:, 1], np.zeros(len(boundary), np.int64)))
+    cycles = len(_loops(boundary[:, 0], boundary[:, 1], np.zeros(len(boundary), np.int64))[0])
     if cycles != 1:
         return f"boundary edges form {cycles} cycles"
     chi = len(points) - n_edges + n_faces

@@ -525,6 +525,13 @@ class TestArrayDocument:
         with pytest.raises(DocumentError, match=f"^vertex {len(doc.vertices)} is not a corner"):
             write_tiling(more)
 
+    def test_arrays_without_groups_make_a_document_without_groups(self):
+        import numpy as np
+
+        doc = TilingDocument._from_arrays(np.zeros((0, 4), np.int64), np.zeros((0, 6), np.int64))
+        assert doc.groups is None and doc._group_arrays is None
+        assert write_tiling(doc) == write_tiling(TilingDocument())
+
     @pytest.mark.parametrize("seed,policy,options,digest", [
         ("sun", "rhombs", RenderOptions(atoms=True),
          "ec66c2ecdba74a5f43eae736d502ed2e12c63e6cbb1aaa21f9e4943ed2871add"),

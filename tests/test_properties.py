@@ -1,7 +1,8 @@
 """Property tests: the exact patch validator against an exact brute force,
 the reader's triangle shape check against ``check_triangle``, the .qtile
 reader's canonical form under token-level mutations, its numpy block parse
-against its token parse, the array outline loops against a walk, the array
+against its token parse, the array text codec against the %-templates
+and ``%.6f``, the array outline loops against a walk, the array
 symmetry order against a frozenset reference, and the scan's nearest point
 against a scalar scan."""
 
@@ -38,6 +39,7 @@ from fivefold.exact import (
 )
 from fivefold.grouping import SET_B, detect_composites, glue_rhombs, templates
 from fivefold.projection import _nearest, lattice_to_cyclo
+from fivefold.svg import _decimals
 from fivefold.triangles import (
     _INT64_BOUND,
     Patch,
@@ -363,6 +365,82 @@ def test_numpy_parse_takes_every_canonical_block():
     assert taken == [True] * 5
 
 
+# ----------------------------------------------------------- text codec
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+int64s = (st.sampled_from([0, 1, -1, INT64_MAX, INT64_MIN + 1, INT64_MIN])
+          | st.tuples(st.integers(1, 19), st.booleans()).flatmap(  # of 1 to 19 digits
+              lambda d: st.integers(10 ** (d[0] - 1), min(10 ** d[0] - 1, INT64_MAX))
+              .map(lambda v: -v if d[1] else v))
+          | st.integers(INT64_MIN, INT64_MAX))
+
+
+def _template_text(line: str, rows: list) -> bytes:
+    """The %-template ``line`` filled row by row, a kind code as its name."""
+    if line is document._TRIANGLE:
+        rows = [("AO"[kind], *rest) for kind, *rest in rows]
+    return "\n".join(line % tuple(row) for row in rows).encode()
+
+
+@st.composite
+def int64_rows(draw):
+    line = draw(st.sampled_from([document._VERTEX, document._TRIANGLE]))
+    width = line.count("%")
+    rows = draw(st.lists(st.lists(int64s, min_size=width, max_size=width), max_size=6))
+    if line is document._TRIANGLE:
+        rows = [[draw(st.integers(0, 1)), *row[1:]] for row in rows]
+    return line, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(int64_rows())
+def test_codec_writes_the_template_text(case):
+    line, rows = case
+    array = np.array(rows, dtype=np.int64).reshape(-1, line.count("%"))
+    assert document._rows_text(line, array) == _template_text(line, rows)
+
+
+@st.composite
+def group_arrays(draw):
+    groups = draw(st.lists(st.tuples(st.sampled_from(document._GROUP_NAMES),
+                                     st.lists(int64s, max_size=4)), max_size=6))
+    sizes = [len(members) for _, members in groups]
+    return (tuple(kind for kind, _ in groups), np.cumsum([0, *sizes]),
+            np.array([m for _, members in groups for m in members], dtype=np.int64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(group_arrays())
+def test_codec_writes_the_group_lines(groups):
+    kinds, offsets, members = groups
+    at, members = offsets.tolist(), members.tolist()
+    expected = "\n".join(kind + " " + " ".join(map(str, members[a:b]))
+                         for kind, a, b in zip(kinds, at, at[1:]))
+    assert document._group_lines(groups) == expected.encode()
+
+
+def _six_decimals(v: float) -> bytes:
+    out = f"{v:.6f}"
+    return ("0.000000" if out == "-0.000000" else out).encode()
+
+
+TIES = [2.5e-6, -2.5e-6, 0.5e-6, 1.5e-6, 0.0078125, 12 + 5e-7, -7 - 5e-7, 1e-7, -1e-9,
+        -4e-7, -5e-7, -6e-7, -0.0, 2 ** 52 / 1e6, -(2 ** 52) / 1e6, 2 ** 49 / 1e6 + 0.5,
+        2 ** 53 / 1e6 + 1, 1e300, -1.7e308, 4503599627.3704965, 123456.7890125]
+floats = (st.sampled_from(TIES)
+          | st.builds(lambda k, step: float(np.nextafter(k + 5e-7, step * np.inf)),  # k + 5e-7
+                      st.integers(-10 ** 6, 10 ** 6), st.sampled_from([-1, 1]))
+          | st.floats(-1e4, 1e4)
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(floats, min_size=1, max_size=8))
+def test_svg_decimals_are_the_six_decimal_format(values):
+    words = _decimals(np.array(values, dtype=float))
+    assert [row.tobytes().replace(b"\0", b"") for row in words] == list(map(_six_decimals, values))
+
+
 # ------------------------------------------------------------ outline loops
 
 
@@ -399,7 +477,9 @@ def rims(draw):
 @settings(max_examples=300, deadline=None)
 @given(rims())
 def test_array_loops_are_the_walk(edges):
-    assert _loops(*edges) == _walk(*(column.tolist() for column in edges))
+    groups, offsets, vertices = (a.tolist() for a in _loops(*edges))
+    loops = [(g, vertices[a:b]) for g, a, b in zip(groups, offsets, offsets[1:])]
+    assert loops == _walk(*(column.tolist() for column in edges))
 
 
 # ------------------------------------------------------------ symmetry order
