@@ -321,24 +321,25 @@ def _lines(doc: TilingDocument):
     reader's proof of canonical form."""
     points, table = doc._arrays
     vertices, triangles, groups = doc._blocks
-    yield b"qtile %d" % doc.version
-    yield b"unit " + doc.unit_note.encode("ascii")
-    yield b"seed " + doc.seed.encode("ascii")
-    yield b"generation %d" % doc.generation
-    yield b"vertices %d" % len(points)
+    yield f"qtile {doc.version}".encode("ascii")
+    yield f"unit {doc.unit_note}".encode("ascii")
+    yield f"seed {doc.seed}".encode("ascii")
+    yield f"generation {doc.generation}".encode("ascii")
+    yield f"vertices {len(points)}".encode("ascii")
     if vertices:
         yield vertices
-    yield b"triangles %d" % len(table)
+    yield f"triangles {len(table)}".encode("ascii")
     if triangles:
         yield triangles
     if doc._group_arrays is not None:
-        yield b"groups %d" % len(doc._group_arrays[0])
+        yield f"groups {len(doc._group_arrays[0])}".encode("ascii")
         if groups:
             yield groups
     p = doc.projection
     if p is not None:
-        yield " ".join(["projection", repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
-                        repr(p.radius), str(p.box)]).encode("ascii")
+        yield ("projection " + " ".join(
+            [repr(p.gamma[0]), repr(p.gamma[1]), repr(p.gamma[2]),
+             repr(p.radius), str(p.box)])).encode("ascii")
     yield b"end"
 
 
