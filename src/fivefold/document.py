@@ -37,6 +37,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import FORMAT_VERSION
+from .exact import _max_abs, _Packing
 from .grouping import CompositeKind, CompositeTiling, _grouped, _ints, _slotted
 from .triangles import Patch, _coord_array, _shape_problem, _shape_rule
 
@@ -192,11 +193,8 @@ class TilingDocument:
             if not text.isascii() or "\n" in text:
                 return f"{name} must be one line of ASCII text", line
         points, table = self._arrays
-        # each vertex against the next, as tuples: the sign of the first
-        # nonzero coordinate difference, 0 for equal vertices
-        step = points[1:] - points[:-1]
-        first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-        unordered = np.flatnonzero(np.sign(first) <= 0)
+        keys = _Packing(_max_abs(points)).points(points)
+        unordered = np.flatnonzero(~(np.diff(keys) > 0))
         if len(unordered):  # named at the later vertex of the first such pair
             return ("vertices must be deduplicated and in lexicographic order",
                     7 + int(unordered[0]))
@@ -375,7 +373,7 @@ def _fields(values: np.ndarray, sign=None, lead=None, least: int = 1) -> np.ndar
     time."""
     import numpy as np
 
-    top = max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    top = _max_abs(values)
     digits = max(len(str(top)), least)
     m = (digits + 9) // 8  # words for the lead byte, the sign and the digits
     pairs, (keep, sign_at) = _digit_pairs(), _digit_masks(m, digits)

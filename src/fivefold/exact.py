@@ -12,7 +12,9 @@ ring results are exact at any size).
 
 Its arithmetic on coordinate arrays serves every layer: the exact product
 (``_matrix``, ``_times``), conjugation (``_CONJ``), signs and order keys
-(``_golden_signs``, ``_golden_keys``) and the float embedding (``_embed``).
+(``_golden_signs``, ``_golden_keys``), the float embedding (``_embed``) and
+the integer keys of rows every module makes: the mixed-radix fold
+(``_fold``) and the packing of points and triangles on it (``_Packing``).
 numpy is imported at first use, so importing this module does not load it.
 """
 
@@ -327,7 +329,7 @@ def _times(points: np.ndarray, factor: CycloPoint) -> np.ndarray:
     import numpy as np
 
     matrix = np.array(_matrix(factor), dtype=object)
-    reach = max(1, int(points.max(initial=0)), -int(points.min(initial=0)))
+    reach = max(1, _max_abs(points))
     if 4 * max(1, int(abs(matrix).max())) * reach < 2 ** 63:
         return points.astype(np.int64) @ matrix.astype(np.int64)
     return points.astype(object) @ matrix
@@ -352,11 +354,81 @@ def _golden_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2^62 (3*bitlen(M) + 5 <= 62), else Python ints."""
     import numpy as np
 
-    bits = max(1, int(abs(a).max(initial=0)), int(abs(b).max(initial=0))).bit_length()
+    bits = max(1, _max_abs(a), _max_abs(b)).bit_length()
     k = 2 * bits + 3
     tau_k = (2 ** k + math.isqrt(5 * 4 ** k)) // 2  # floor(tau * 2^k)
     dtype = np.int64 if 3 * bits + 5 <= 62 else object
     return a.astype(dtype) * 2 ** k + b.astype(dtype) * tau_k
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """The largest |value| of an integer array, 0 for an empty one."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """The key ((c0*r1 + c1)*r2 + ...)*rn + cn of each row of the integer
+    columns c0, ..., cn and radices r1, ..., rn.  Where each later ci holds
+    indices 0..ri-1 or balanced digits |ci| <= (ri-1)/2, keys order like
+    the rows' tuples, and every partial key is below (max|c0| + 1) * r1 *
+    ... * rn: the keys are int64 while that is at most 2^63, else Python ints."""
+    import numpy as np
+
+    lead, *rest = columns
+    fits = (_max_abs(lead) + 1) * math.prod(radices) <= 2 ** 63
+    key = lead.astype(np.int64 if fits else object, copy=False)
+    for column, radix in zip(rest, radices):
+        key = key * radix + column
+    return key
+
+
+class _Packing:
+    """Balanced radix-(2*bound+1) keys for points with |z_i| <= bound: the
+    fold ((z0*R + z1)*R + z2)*R + z3, injective on that box and ordered
+    like the tuples.  It is linear: a translation adds the packed shift, and
+    z * factor packs as a linear form in z.  A triangle packs as the fold
+    (kind, apex, lower base, upper base), 0 for acute and 1 for obtuse, and
+    a translation by s adds pack(s) * (R^8 + R^4 + 1)."""
+
+    def __init__(self, bound: int):
+        assert bound >= 0
+        self.radix = r = 2 * bound + 1
+        self.r4 = r ** 4
+        self.shift = self.r4 * self.r4 + self.r4 + 1  # translation multiplier
+
+    def point(self, z: Sequence[int]) -> int:
+        """The point with coordinates z."""
+        r = self.radix
+        return ((z[0] * r + z[1]) * r + z[2]) * r + z[3]
+
+    def weights(self, factor: CycloPoint) -> tuple[int, ...]:
+        """The packed point of z * factor as a linear form in z: the matrix
+        of factor applied to the digit weights (R^3, R^2, R, 1)."""
+        r = self.radix
+        return tuple(sum(z * w for z, w in zip(row, (r ** 3, r * r, r, 1)))
+                     for row in _matrix(factor))
+
+    def points(self, z: np.ndarray, factor: CycloPoint = ONE) -> np.ndarray:
+        """The packed z * factor of rows z, int64 where no partial sum can pass it."""
+        import numpy as np
+
+        weights = self.weights(factor)
+        dtype = np.int64 if _max_abs(z) * sum(map(abs, weights)) < 2 ** 63 else object
+        return z @ np.array(weights, dtype=dtype)
+
+    def table(self, coords: np.ndarray, kind: np.ndarray, k: int) -> np.ndarray:
+        """(N, 4): the packed columns (kind, apex, lower base, upper base)
+        of the triangles with (N, 3, 4) coordinates ``coords`` and kinds
+        ``kind``, rotated by 72k degrees."""
+        import numpy as np
+
+        points = self.points(coords, EPS ** (k % 5))
+        bases = points[:, 1:]
+        return np.column_stack((kind, points[:, 0], bases.min(axis=1), bases.max(axis=1)))
+
+    def keys(self, table: np.ndarray) -> list[int]:
+        """Each row of a ``table`` folded into one 13-digit integer."""
+        return _fold(table.T, (self.r4,) * 3).tolist()
 
 
 def sq_norm_ab(z: Sequence[int]) -> tuple[int, int]:

@@ -7,9 +7,9 @@ rotations by 36 degrees, each optionally composed with complex
 conjugation) plus an exact translation.  Matching never backtracks and the
 iteration order is canonical, so grouping is deterministic.
 
-Matching runs on plain integers.  One routine packs the triangles of a
-patch frame and of a posed template alike into one integer key each, in a
-balanced mixed radix derived from the coordinate bound of the data at
+Matching runs on plain integers.  ``exact._Packing`` packs the triangles
+of a patch frame and of a posed template alike into one integer key each,
+in a balanced mixed radix derived from the coordinate bound of the data at
 hand, so equal keys mean equal triangles and translation is integer
 addition.  A lazily cached pose table, one per (template, scale exponent),
 holds the 20 posed, scaled copies of each template relative to its anchor
@@ -41,8 +41,8 @@ from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import (_CONJ, EPS, ONE, PHI, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, _matrix,
-                    _times, sq_norm_ab)
+from .exact import (_CONJ, ONE, PHI, ROT36, TAU_C, ZERO, CycloPoint, GoldenInt, _fold, _max_abs,
+                    _Packing, _times, sq_norm_ab)
 from .triangles import (
     Patch,
     Triangle,
@@ -341,11 +341,10 @@ class CompositeTiling:
 
     @classmethod
     def _from_arrays(cls, patch: Patch, kinds: list[str], sizes: list[int], members,
-                     isometries: list, order: list[int], claimed) -> CompositeTiling:
+                     isometries: list, order: np.ndarray, claimed) -> CompositeTiling:
         """The groups given, then a singleton per triangle not ``claimed``, in ``order``."""
         import numpy as np
 
-        order = np.asarray(order, dtype=np.int64)
         single = order[~np.asarray(claimed, dtype=bool)[order]]
         kinds = (*kinds, *(SINGLETON_KINDS[k].value for k in patch.kind[single].tolist()))
         offsets = np.cumsum([0, *sizes, *[1] * len(single)], dtype=np.int64)
@@ -417,68 +416,10 @@ def _grouped(groups: Sequence[tuple[str, Sequence[int]]]) -> tuple:
 
 
 # ------------------------------------------------------------ integer keys
-#
-# Matching compares triangles as single integers.  A point z of Z[eps] with
-# |z_i| <= B packs in balanced radix R = 2B + 1 as
-# ((z0*R + z1)*R + z2)*R + z3.  On that box the packing is injective and
-# orders points exactly like their coordinate tuples; it is also linear, so
-# a translated point packs to the packed point plus the packed shift.  A
-# triangle packs as the 13-digit number (kind, apex, lower base, upper
-# base) with kind 0 for acute and 1 for obtuse: it orders triangles like
-# the tuple keys (kind, apex, sorted bases) and a translation by s adds
-# pack(s) * (R^8 + R^4 + 1).  Every radix below comes from a bound on all
-# coordinates it will meet, so two keys are equal only for equal triangles.
+# Every packing takes its bound from all coordinates its keys will meet.
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-class _Packing:
-    """Balanced radix-(2*bound+1) keys for points with |z_i| <= bound."""
-
-    def __init__(self, bound: int):
-        assert bound >= 0
-        r = 2 * bound + 1
-        self.radix = r
-        self.r4 = r ** 4
-        self.r8 = self.r4 * self.r4
-        self.shift = self.r8 + self.r4 + 1     # translation multiplier
-
-    def point(self, z: Sequence[int]) -> int:
-        """The point with coordinates z."""
-        r = self.radix
-        return ((z[0] * r + z[1]) * r + z[2]) * r + z[3]
-
-    def weights(self, k: int) -> tuple[int, ...]:
-        """The packed point of eps^k * z as a linear form in z: the matrix
-        of eps^k applied to the digit weights (R^3, R^2, R, 1)."""
-        r = self.radix
-        return tuple(sum(z * w for z, w in zip(row, (r ** 3, r * r, r, 1)))
-                     for row in _matrix(EPS ** (k % 5)))
-
-    def table(self, coords: np.ndarray, kind: np.ndarray, k: int) -> np.ndarray:
-        """(N, 4): the packed columns (kind, apex, lower base, upper base)
-        of the triangles with (N, 3, 4) coordinates ``coords`` and kinds
-        ``kind``, rotated by 72k degrees."""
-        import numpy as np
-
-        dtype = np.int64 if self.r4 < 2 ** 62 else object  # each partial sum < R^4
-        points = coords @ np.array(self.weights(k), dtype=dtype)
-        bases = points[:, 1:]
-        return np.column_stack((kind, points[:, 0], bases.min(axis=1), bases.max(axis=1)))
-
-    def keys(self, table: np.ndarray) -> list[int]:
-        """Each row of a ``table`` folded into one 13-digit integer."""
-        import numpy as np
-
-        # object weights: R^12 may exceed int64, and numpy would not widen
-        # a tuple of such integers to Python ints but to uint64 or float
-        weights = np.array((self.r8 * self.r4, self.r8, self.r4, 1), dtype=object)
-        return (table @ weights).tolist()
-
-
-def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
+def _canonical_index_order(patch: Patch) -> tuple[np.ndarray, int]:
     """Anchor iteration order from a rotation-canonical frame.
 
     Among the five 72-degree rotations of the patch, take the one whose
@@ -501,7 +442,7 @@ def _canonical_index_order(patch: Patch) -> tuple[list[int], int]:
         differ = np.flatnonzero(table != best) if best is not None else None
         if best is None or len(differ) and table.flat[differ[0]] < best.flat[differ[0]]:
             best, best_order, k_star = table, order, k
-    return best_order.tolist(), k_star
+    return best_order, k_star
 
 
 def _refuse_repeats(patch: Patch) -> None:
@@ -510,11 +451,9 @@ def _refuse_repeats(patch: Patch) -> None:
     numbers: grouping would count a repeated triangle twice."""
     import numpy as np
 
-    corners = patch._numbering[1]
     v = len(patch._numbering[0])
-    dtype = np.int64 if 2 * v ** 3 < 2 ** 63 else object
-    apex, b0, b1 = corners.astype(dtype).T
-    key = ((apex * v + np.minimum(b0, b1)) * v + np.maximum(b0, b1)) * 2 + patch.kind
+    apex, b0, b1 = patch._numbering[1].T
+    key = _fold((apex, np.minimum(b0, b1), np.maximum(b0, b1), patch.kind), (v, v, 2))
     s = np.argsort(key, kind="stable")
     same = np.flatnonzero(key[s[1:]] == key[s[:-1]])
     if len(same):
@@ -599,11 +538,10 @@ def detect_composites(patch: Patch,
               if kind not in SINGLETON_KINDS]
     triangle_kind = patch.kind.tolist()
     chirality = patch.chirality.tolist()
-    m = _max_abs(patch.coords)
-    # covers the patch (m) and every probe: an anchor apex plus a part
-    # offset (m + span)
-    pack = _Packing(max([m] + [m + table.span for _, table in tables]))
+    # covers the patch and every probe: an anchor apex plus a part offset
+    pack = _Packing(_max_abs(patch.coords) + max([0] + [table.span for _, table in tables]))
     order, k_star = _canonical_index_order(patch)
+    anchors = order.tolist()
     frame = pack.table(patch.coords, patch.kind, 0)
     index = dict(zip(pack.keys(frame), range(n)))
     apex_keys = [a * pack.shift for a in frame[:, 1].tolist()]
@@ -621,7 +559,7 @@ def detect_composites(patch: Patch,
                 by_chirality[pose.chirality].append(
                     (pose, pack.keys(pack.table(pose.parts, table.kind, 0))))
         anchor_kind = int(table.kind[0])
-        for i in order:
+        for i in anchors:
             if claimed[i] or triangle_kind[i] != anchor_kind:
                 continue
             base = apex_keys[i]

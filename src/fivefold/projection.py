@@ -103,8 +103,8 @@ class Window:
         p = np.atleast_2d(points) - np.asarray(self.gamma)
         return p @ self.normals.T + self.offsets
 
-    def contains(self, points: np.ndarray, margin: float = WINDOW_MARGIN) -> np.ndarray:
-        return (self.residuals(points) < -margin).all(axis=1)
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return (self.residuals(points) < -WINDOW_MARGIN).all(axis=1)
 
 
 def cube_vertex_projections(basis: ProjectionBasis | None = None) -> np.ndarray:

@@ -43,8 +43,11 @@ from .exact import (
     ZERO,
     CycloPoint,
     GoldenInt,
+    _fold,
     _golden_keys,
     _golden_signs,
+    _max_abs,
+    _Packing,
     _times,
     cross_ab,
     cross_sign,
@@ -164,7 +167,7 @@ def _shape_problem(kind: str, chirality: int, a: tuple[int, ...],
 # of six products of differences, is at most 24 B^2, and the golden sign
 # squares it: a^2 + a*b - b^2 <= 3 * (24 B^2)^2 = 1728 B^4 < 2^63 for
 # B = 2^13.  Squared lengths stay below 112 B^2, deflation children below
-# 7 B, and a point packed in radix 2B + 1 below (2B + 1)^4 < 2^57.
+# 7 B; integer keys (``exact._fold``, ``exact._Packing``) pick their dtype.
 _INT64_BOUND = 2 ** 13
 
 
@@ -332,10 +335,7 @@ class Patch:
         import numpy as np
 
         points = self.coords.reshape(-1, 4)
-        bound = max(int(points.max(initial=0)), -int(points.min(initial=0)))
-        r = 2 * bound + 1
-        # balanced radix r: one integer per point, ordered like the tuples
-        keys = ((points[:, 0] * r + points[:, 1]) * r + points[:, 2]) * r + points[:, 3]
+        keys = _Packing(_max_abs(points)).points(points)  # ordered like the tuples
         _, first, index = np.unique(keys, return_index=True, return_inverse=True)
         return points[first], index.reshape(-1, 3)
 
@@ -528,19 +528,16 @@ def symmetry_order(points: Iterable[CycloPoint], center: CycloPoint = ZERO) -> i
 
 def _symmetry_order(points: np.ndarray) -> int:
     """``symmetry_order`` about the origin of the set of (N, 4) coordinate
-    rows, repeats allowed: sorted and without repeats, the rows are the
-    set, and a rotation, being injective, maps it onto itself exactly
-    when its images, sorted, are the same rows."""
+    rows, repeats allowed: a rotation maps the set onto itself exactly when
+    the distinct packed images are the distinct packed points."""
     import numpy as np
 
     points = points.reshape(-1, 4)
-    points = points[np.lexsort(points.T[::-1])]
-    fresh = np.ones(len(points), dtype=bool)
-    fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
-    points = points[fresh]
+    # a rotated coordinate is a coordinate or a difference of two
+    pack = _Packing(2 * _max_abs(points))
+    keys = np.unique(pack.points(points))
     for order, factor in ((10, EPS1), (5, EPS), (2, -ONE)):
-        image = _times(points, factor)
-        if np.array_equal(image[np.lexsort(image.T[::-1])], points):
+        if np.array_equal(np.unique(pack.points(points, factor)), keys):
             return order
     return 1
 
@@ -664,9 +661,8 @@ def _rim(corners: np.ndarray, chirality: np.ndarray, v: int, group: np.ndarray):
 
     ccw = np.where((chirality < 0)[:, None], corners[:, [0, 2, 1]], corners)
     tail, head, group = ccw.ravel(), ccw[:, [1, 2, 0]].ravel(), np.repeat(group, 3)
-    dtype = np.int64 if 2 * (int(group.max(initial=0)) + 1) * v * v < 2 ** 63 else object
-    keys = ((group * v + np.minimum(tail, head)).astype(dtype) * v
-            + np.maximum(tail, head)) * 2 + (tail > head)
+    keys = _fold((group, np.minimum(tail, head), np.maximum(tail, head), tail > head),
+                 (v, v, 2))
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     same = ranked[1:] == ranked[:-1]
@@ -697,8 +693,7 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray):
 
     n = len(tail)
     v = int(max(tail.max(initial=0), head.max(initial=0))) + 1
-    dtype = np.int64 if (int(group.max(initial=0)) + 1) * v * v < 2 ** 63 else object
-    exits = np.argsort((group.astype(dtype) * v + tail) * v + head, kind="stable")
+    exits = np.argsort(_fold((group, tail, head), (v, v)), kind="stable")
     g, t = group[exits], tail[exits]
     # a vertex of a group is named by the position p of its first exit:
     # at[p] is its next unused exit and each later exit q keeps at[q] = p,
@@ -707,7 +702,7 @@ def _loops(tail: np.ndarray, head: np.ndarray, group: np.ndarray):
     at = np.maximum.accumulate(np.where(first, np.arange(n), 0))
     # entries sorted by (group, head) meet exits sorted by (group, tail)
     into = np.empty(n, np.int64)
-    into[np.argsort(group.astype(dtype) * v + head, kind="stable")] = at
+    into[np.argsort(_fold((group, head), (v,)), kind="stable")] = at
     into = into[exits]
     walked = np.isin(g, g[~first])
     step = np.where(walked, np.arange(n), into)  # a walked exit stays put

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import GoldenInt
+from .exact import CycloPoint, GoldenInt
 
 __all__ = [
     "Mat2G",
@@ -268,10 +268,5 @@ def check_reflection_conjugacy(group: Iterable[Mat2G],
 
 
 def rank4_rotation(z: Sequence[int]) -> tuple[int, int, int, int]:
-    """72-degree rotation of quasilattice coordinates.
-
-    Multiplying z0 + z1 e + z2 e^2 + z3 e^3 by e and eliminating e^4
-    through e^4 = -1 - e - e^2 - e^3 gives (-z3, z0-z3, z1-z3, z2-z3).
-    """
-    z0, z1, z2, z3 = z
-    return (-z3, z0 - z3, z1 - z3, z2 - z3)
+    """72-degree rotation of quasilattice coordinates: ``CycloPoint.rotate72``."""
+    return CycloPoint(*z).rotate72().coords()

@@ -13,6 +13,7 @@ from fivefold.exact import (
     TAU_C,
     CycloPoint,
     GoldenInt,
+    _fold,
     _golden_keys,
     _golden_signs,
     _times,
@@ -384,6 +385,56 @@ class TestGoldenKeys:
         k0, k1 = keys.tolist()
         assert (k0 > k1) - (k0 < k1) == golden_sign(a0 - a1, b0 - b1)
         assert (k0 == k1) == (pairs[0] == pairs[1])
+
+
+@st.composite
+def folded_rows(draw):
+    """(columns, radices, rows): 1 to 6 rows of a lead column and 1 to 4
+    later columns, each later one of index digits (0 to r - 1) or balanced
+    digits (|d| <= (r - 1)/2, r odd).  The lead's bound puts the keys' bound
+    (max|lead| + 1) * r1 * ... * rn just below, at or just above 2^63, or
+    anywhere, the lead reaching past int64 itself."""
+    radices, digits = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.sampled_from([2, 3]) | st.integers(2, 2 ** 20))
+        balanced = r % 2 == 1 and draw(st.booleans())
+        radices.append(r)
+        digits.append(st.integers(-(r // 2), r // 2) if balanced else st.integers(0, r - 1))
+    room = 2 ** 63 // math.prod(radices)  # max|lead| + 1 fits while at most this
+    top = draw(st.sampled_from([room - 2, room - 1, room]) | st.integers(0, 2 ** 70))
+    top = max(top, 0)
+    lead = st.integers(-top, top)
+    rows = draw(st.lists(st.tuples(lead, *digits), min_size=1, max_size=6))
+    rows[0] = (draw(st.sampled_from([top, -top])), *rows[0][1:])  # one lead at the bound
+    columns = [as_array(column) for column in zip(*rows)]
+    return columns, radices, rows
+
+
+class TestFold:
+    """The mixed-radix fold against its rows, as Python tuples and ints."""
+
+    @given(folded_rows())
+    def test_keys_are_the_mixed_radix_value(self, case):
+        columns, radices, rows = case
+        keys = _fold(columns, radices)
+        want = []
+        for lead, *rest in rows:
+            key = lead
+            for digit, r in zip(rest, radices):
+                key = key * r + digit
+            want.append(key)
+        assert keys.tolist() == want
+        top = max(abs(row[0]) for row in rows)
+        assert (keys.dtype == np.int64) == ((top + 1) * math.prod(radices) <= 2 ** 63)
+
+    @given(folded_rows())
+    def test_keys_order_like_the_rows(self, case):
+        columns, radices, rows = case
+        keys = _fold(columns, radices).tolist()
+        for k0, r0 in zip(keys, rows):
+            for k1, r1 in zip(keys, rows):
+                assert (k0 < k1) == (r0 < r1)
+                assert (k0 == k1) == (r0 == r1)
 
 
 class TestMixedOperands:

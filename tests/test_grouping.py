@@ -322,7 +322,7 @@ class TestPinnedAssignments:
     @pytest.mark.parametrize("name", sorted(PINNED_ORDERS))
     def test_canonical_order_digest(self, name):
         order, k_star = _canonical_index_order(pinned_patch(name))
-        digest = hashlib.sha256(repr((k_star, order)).encode()).hexdigest()
+        digest = hashlib.sha256(repr((k_star, order.tolist())).encode()).hexdigest()
         assert digest == PINNED_ORDERS[name]
 
     def test_isometries_map_templates_onto_groups(self):

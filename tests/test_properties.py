@@ -538,8 +538,10 @@ def test_symmetry_order_matches_the_frozenset_reference(case):
     if not perturbed:  # each orbit is closed under the rotation of order n
         assert want % n == 0
     rows = [(p - center).coords() for p in pts]
+    # Python ints (dtype object), as beyond _INT64_BOUND, for rows of any size
+    assert _symmetry_order(np.array(rows, dtype=object).reshape(-1, 4)) == want
     if all(abs(v) < 2 ** 63 for row in rows for v in row):
-        # int64 rows go straight in; _times leaves int64 where it could overflow
+        # int64 rows go straight in; the packing leaves int64 where it could overflow
         assert _symmetry_order(np.array(rows, dtype=np.int64).reshape(-1, 4)) == want
 
 
