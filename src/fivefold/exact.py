@@ -417,9 +417,8 @@ class _Packing:
         return z @ np.array(weights, dtype=dtype)
 
     def table(self, coords: np.ndarray, kind: np.ndarray, k: int) -> np.ndarray:
-        """(N, 4): the packed columns (kind, apex, lower base, upper base)
-        of the triangles with (N, 3, 4) coordinates ``coords`` and kinds
-        ``kind``, rotated by 72k degrees."""
+        """(N, 4): the packed (kind, apex, lower base, upper base) of the
+        triangles of (N, 3, 4) ``coords`` and ``kind``, rotated by 72k degrees."""
         import numpy as np
 
         points = self.points(coords, EPS ** (k % 5))

@@ -529,15 +529,17 @@ def symmetry_order(points: Iterable[CycloPoint], center: CycloPoint = ZERO) -> i
 def _symmetry_order(points: np.ndarray) -> int:
     """``symmetry_order`` about the origin of the set of (N, 4) coordinate
     rows, repeats allowed: a rotation maps the set onto itself exactly when
-    the distinct packed images are the distinct packed points."""
+    the sorted packed images of its distinct points are their packed keys."""
     import numpy as np
 
     points = points.reshape(-1, 4)
     # a rotated coordinate is a coordinate or a difference of two
     pack = _Packing(2 * _max_abs(points))
-    keys = np.unique(pack.points(points))
+    # with an index asked for, np.unique does not import numpy.ma (1.7 MB)
+    keys, first = np.unique(pack.points(points), return_index=True)
+    points = points[first]
     for order, factor in ((10, EPS1), (5, EPS), (2, -ONE)):
-        if np.array_equal(np.unique(pack.points(points, factor)), keys):
+        if np.array_equal(np.sort(pack.points(points, factor)), keys):
             return order
     return 1
 
