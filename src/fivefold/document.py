@@ -13,16 +13,17 @@ codec (``_fields``): each number's digits are written into uint64 words
 of ASCII bytes, padded with zero bytes that one ``bytes.translate``
 removes.  Values beyond int64 go through the %-template of ``_block``.
 The reader also accepts only canonical spellings: it parses each counted
-block in one pass, then compares its input with the writer's output for
-the values read, so write(read(data)) == data for every document it accepts.
-It finds its lines as the offsets of the newlines in the bytes and slices
-each block out whole.  The pass is one ``np.fromstring`` call into int64
-arrays, after the kind names are replaced by integer tokens, and the
-block's bytes are compared with the codec's bytes for those arrays.  A
-block that differs (a spelling such as ``+2``, ``05`` or a tab, a value
-beyond int64, an unknown name) is split into lines and parsed again as
-Python tokens, and its lines are walked to name a fault.  Either parse
-accepts the same files with the same values and messages.
+block, then compares its input with the writer's output for the values
+read, so write(read(data)) == data for every document it accepts.  It
+finds its lines as the offsets of the newlines in the bytes and slices
+each block out whole.  A block is parsed by numpy first: one
+``np.fromstring`` call into int64 arrays, after the kind names are
+replaced by integer tokens, and the block's bytes are compared with the
+codec's bytes for those arrays.  A block that differs (a spelling such as
+``+2``, ``05`` or a tab, a value beyond int64, an unknown name) is parsed
+again by one walk over its lines, which splits each line into Python
+tokens once and names the first malformed line.  Either parse accepts the
+same files with the same values and messages.
 When a file has several faults, the structural ones (a count, a token
 count, an integer, a projection value) are reported before a
 non-canonical spelling.
@@ -229,7 +230,7 @@ class TilingDocument:
                | ((chirality != 1) & (chirality != -1)) | (parent < -1)
                | (parent >= n_tris))
         end = int(np.argmax(bad)) if bad.any() else n_tris
-        at = corners[:end].astype(np.int64)
+        at = corners[:end].astype(np.int64, copy=False)
         ok = _shape_rule(kind[:end], chirality[:end], points[at])
         if not ok.all():
             i = int(np.argmin(ok))
@@ -242,7 +243,7 @@ class TilingDocument:
             return f"triangle {end}: {_structure_problem(t, n, n_tris)}", 7 + n + end
         # a patch's vertex table is the corners of its triangles, so a
         # document read as a patch keeps its own table (document_to_patch)
-        unused = np.flatnonzero(np.bincount(corners.ravel().astype(np.int64),
+        unused = np.flatnonzero(np.bincount(corners.ravel().astype(np.int64, copy=False),
                                             minlength=n) == 0)
         if len(unused):
             return f"vertex {unused[0]} is not a corner of any triangle", 6 + int(unused[0])
@@ -465,16 +466,8 @@ def _rows_text(line: str, rows: np.ndarray) -> bytes:
     lead[0] = ord("\n")
     words = _fields(rows, sign, lead)
     if line is _TRIANGLE:  # the kind's name as its field
-        words[:, 0] = _kind_names(words.shape[2])[rows[:, 0]]
+        words[:, 0] = _heads(_KIND_NAMES, "", 8 * words.shape[2])[rows[:, 0]]
     return _ascii(words)[1:]
-
-
-@cache
-def _kind_names(m: int) -> np.ndarray:
-    """Each kind code's field of m words: a newline, then its name."""
-    import numpy as np
-
-    return np.array([_words(f"\n{name}".ljust(8 * m, "\0")) for name in _KIND_NAMES])
 
 
 def _group_lines(groups: tuple) -> bytes:
@@ -491,17 +484,17 @@ def _group_lines(groups: tuple) -> bytes:
     lead = np.full(len(members), ord(" "), np.uint8)
     lead[offsets[:-1][np.diff(offsets) > 0]] = 0  # a group's first member follows its head
     tokens = _fields(members, (members < 0) * np.uint8(ord("-")), lead)
-    return _ascii(_spliced(_group_heads()[codes], tokens, offsets))[1:]
+    heads = _heads(_GROUP_NAMES, " ", max(map(len, _GROUP_NAMES)) + 2)
+    return _ascii(_spliced(heads[codes], tokens, offsets))[1:]
 
 
 @cache
-def _group_heads() -> np.ndarray:
-    """Each group kind's line head, a newline, its name and a space, as
-    words of one width."""
+def _heads(names: Sequence[str], tail: str, size: int) -> np.ndarray:
+    """Each name's line head, a newline, the name and ``tail``, as words
+    of at least ``size`` bytes each."""
     import numpy as np
 
-    size = max(map(len, _GROUP_NAMES)) + 2
-    return np.array([_words(f"\n{name} ".ljust(size, "\0")) for name in _GROUP_NAMES])
+    return np.array([_words(f"\n{name}{tail}".ljust(size, "\0")) for name in names])
 
 
 # a counted block's names as integer tokens for numpy: a triangle's kind as
@@ -537,22 +530,6 @@ def _array_block(text: bytes, n: int, template: str | None):
         return rows if _rows_text(template, rows) == text else None
     except (ValueError, IndexError):  # no integer, another size, no such kind
         return None
-
-
-def _parse_rows(lines: list[str], width: int, ints_from: int) -> list:
-    """The tokens of lines of ``width`` tokens each, flat, the ones from
-    ``ints_from`` on in each line as integers.  Lines are split 1024 at a
-    time, which bounds the token strings alive at once."""
-    values = []
-    for at in range(0, len(lines), 1024):
-        chunk = lines[at:at + 1024]
-        tokens = " ".join(chunk).split()
-        if len(tokens) != width * len(chunk):
-            raise ValueError("a line of another width")
-        for column in range(ints_from, width):
-            tokens[column::width] = map(int, tokens[column::width])
-        values += tokens
-    return values
 
 
 class _Reader:
@@ -606,11 +583,12 @@ class _Reader:
         Each line is of the %-template ``template``, or a group line if it
         is None.  numpy parses the block first (``_array_block``): its int64
         rows, or group arrays, are kept if the writer gives the input for
-        them.  Otherwise the block is split into tokens in one pass, a list
-        with a triangle's kind by name, and when that text too differs from
-        the input its lines are walked one at a time, to name the first
-        malformed one: one with another token count, or with a token after
-        the leading names ("%s") that is no integer."""
+        them.  Otherwise the lines are walked once, each split into tokens,
+        to name the first malformed one: one with another token count, or
+        with a token after the leading names ("%s") that is no integer.
+        The tokens make a flat list, a triangle's kind by name, or group
+        arrays, and the writer's text for them is returned for
+        ``read_tiling`` to compare with the input."""
         width, ints_from = ((template.count("%"), template.count("%s")) if template
                             else (0, 1))
         start = self.pos
@@ -621,28 +599,21 @@ class _Reader:
             values = _array_block(given, n, template)
             if values is not None:
                 return values, given
+        values = []  # the tokens, or each group line's
+        add = values.extend if template else values.append
         lines = given.decode("ascii").split("\n") if self.pos > start else []
-        values = text = None
-        try:
-            if whole and template:
-                values = _parse_rows(lines, width, ints_from)
-                text = _block(template, values).encode("ascii")
-            elif whole:
-                values = _grouped([(row[0], list(map(int, row[1:])))
-                                   for row in map(str.split, lines)])
-                text = _group_lines(values)
-        except (ValueError, IndexError):
-            pass
-        if text != given:
-            for self.pos, line in enumerate(lines, start + 1):
-                parts = line.split()
-                if len(parts) != width if width else not parts:
-                    self.fail(malformed)
-                for token in parts[ints_from:]:
-                    _parse_int(self, token)
-            if not whole:
-                self.next()  # the file ends inside the block
-        return values, text
+        for self.pos, line in enumerate(lines, start + 1):
+            parts = line.split()
+            if len(parts) != width if width else not parts:
+                self.fail(malformed)
+            parts[ints_from:] = [_parse_int(self, token) for token in parts[ints_from:]]
+            add(parts)
+        if not whole:
+            self.next()  # the file ends inside the block
+        if template:
+            return values, _block(template, values).encode("ascii")
+        values = _grouped([(parts[0], parts[1:]) for parts in values])
+        return values, _group_lines(values)
 
 
 def read_tiling(data: bytes) -> TilingDocument:

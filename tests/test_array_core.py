@@ -134,6 +134,27 @@ def test_translation_changes_nothing_but_the_coordinates(shift):
         for problem in problems)
 
 
+@pytest.mark.parametrize("glued", [False, True], ids=["plain", "glued"])
+def test_a_file_beyond_int64_reads_back_as_written(glued):
+    # numpy refuses the vertex block, so the reader's line walk reads it
+    sun = translated(deflate_patch(seed_sun(), 3), HUGE)
+    doc = tiling_to_document(glue_rhombs(sun)) if glued else patch_to_document(sun)
+    data = write_tiling(doc)
+    back = read_tiling(data)
+    assert back._arrays[0].dtype == object
+    for written, read in zip(doc._arrays, back._arrays):
+        assert read.dtype == written.dtype and read.tolist() == written.tolist()
+    assert back.groups == doc.groups
+    assert write_tiling(back) == data
+    lines = data.decode().split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith("vertices ")) + 1
+    given = "+" + lines[at]
+    lines[at] = given
+    with pytest.raises(DocumentError, match=re.escape(
+            f"line {at + 1}: not in canonical form: expected {given[1:]!r}, got {given!r}")):
+        read_tiling("\n".join(lines).encode())
+
+
 def test_deflation_crosses_the_int64_bound():
     # one acute triangle just inside the bound: its children leave it
     edge = _INT64_BOUND - 10

@@ -9,6 +9,7 @@ from fivefold.triangles import (
     Patch,
     Triangle,
     TriangleKind,
+    _symmetry_order,
     canonical_acute,
     canonical_obtuse,
     deflate_patch,
@@ -251,6 +252,13 @@ class TestSymmetryOrder:
         pts = [center + (EPS1 ** k) for k in range(10)]
         assert symmetry_order(pts, center) == 10
         assert symmetry_order(pts) == 1
+
+    def test_rotated_coordinates_reach_twice_the_largest(self):
+        # the images under the 36- and 72-degree rotations reach |z| = 4,
+        # twice the largest coordinate: a packing bounded by 2 aliases them
+        rows = [(2, 1, -1, -1), (2, -2, 2, 0), (0, 2, -2, 2), (-2, -2, -1, 1), (-2, 1, 2, -2)]
+        assert _symmetry_order(np.array(rows, dtype=np.int64)) == 1
+        assert symmetry_order([CycloPoint(*row) for row in rows]) == 1
 
 
 class TestHomothety:
